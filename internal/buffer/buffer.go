@@ -14,8 +14,11 @@
 // operations on different pages do not serialize on a pool-wide lock. A
 // shard whose frames are all pinned steals an evictable frame from a
 // sibling shard (migrating it permanently), so the pool's full capacity
-// remains reachable from every shard; ErrPoolExhausted means every frame of
-// every shard is pinned.
+// remains reachable from every shard. When every frame of every shard is
+// pinned, a claimer waits for a pin to be released. A pool that stays fully
+// pinned with no release at all is deadlocked: it grows by a frame when
+// other goroutines are in the cycle, and reports ErrPoolExhausted to a lone
+// claimer that can only be waiting on its own pins (see growLocked).
 package buffer
 
 import (
@@ -34,8 +37,12 @@ import (
 	"repro/internal/storage"
 )
 
-// ErrPoolExhausted is returned when every frame is pinned and no victim can
-// be found after retrying.
+// ErrPoolExhausted is returned when every frame is pinned, not a single pin
+// anywhere in the pool is released for a full deadlock period, nobody else
+// waits for a frame or a latch, and the pool did not grow for anyone else
+// meanwhile: the pins are the caller's own, so waiting longer cannot help. It is also returned once the pool has grown
+// by its configured capacity to break deadlocks (see growLocked). A pool
+// that is merely busy makes the caller wait, never fail.
 var ErrPoolExhausted = errors.New("buffer: all frames pinned")
 
 // ErrPinned is returned by Deallocate when the page's frame is pinned. The
@@ -171,6 +178,25 @@ type Pool struct {
 	// stealClock orders cross-shard steals so the neighbor ring can prefer
 	// the shards stolen from least recently.
 	stealClock atomic.Int64
+
+	// Claimers that found every frame pinned park on released, which the
+	// next frame to drop its last pin closes (and replaces). claimers
+	// counts them so that an unpin with nobody waiting costs one atomic
+	// load. The wait is pool-wide, not per shard, because a frame freed in
+	// any shard is reachable through a steal. deadlockAfter is how long a
+	// fully pinned pool may go without a single release before it counts
+	// as deadlocked: pins are held for one operation's node visits and
+	// page I/O, so a second is far outside any live schedule.
+	releaseMu     sync.Mutex
+	released      chan struct{}
+	claimers      atomic.Int32
+	deadlockAfter time.Duration
+
+	// grown counts frames added beyond capacity to break pin deadlocks
+	// among concurrent operations (see growLocked). latchParked counts the
+	// goroutines blocked on any frame's latch.
+	grown       atomic.Int64
+	latchParked atomic.Int64
 }
 
 // New creates a pool with the given number of frames over disk. If wal is
@@ -192,6 +218,9 @@ func New(disk storage.Manager, capacity int, wal LogFlusher) *Pool {
 		wal:      wal,
 		capacity: capacity,
 		reg:      stats.NewRegistry(),
+
+		released:      make(chan struct{}),
+		deadlockAfter: time.Second,
 	}
 	p.hits = p.reg.Counter("buffer.hits")
 	p.misses = p.reg.Counter("buffer.misses")
@@ -205,6 +234,7 @@ func New(disk storage.Manager, capacity int, wal LogFlusher) *Pool {
 	p.stealHist = p.reg.Histogram("buffer.steal")
 	p.reg.Gauge("buffer.shards", func() int64 { return int64(nshards) })
 	p.reg.Gauge("buffer.capacity", func() int64 { return int64(capacity) })
+	p.reg.Gauge("buffer.deadlock_frames", p.grown.Load)
 	p.reg.Gauge("buffer.pinned_frames", func() int64 {
 		var total int64
 		for _, s := range p.shards {
@@ -229,9 +259,16 @@ func New(disk storage.Manager, capacity int, wal LogFlusher) *Pool {
 	}
 	for i := 0; i < capacity; i++ {
 		s := p.shards[i%nshards]
-		s.frames = append(s.frames, &Frame{state: stateFree, home: s})
+		s.frames = append(s.frames, p.newFrame(s))
 	}
 	return p
+}
+
+// newFrame returns a free frame homed in s.
+func (p *Pool) newFrame(s *shard) *Frame {
+	f := &Frame{state: stateFree, home: s}
+	f.Latch.CountParked(&p.latchParked)
+	return f
 }
 
 // shardOf maps a page id to its home shard (Fibonacci hashing; the high
@@ -364,12 +401,12 @@ func (p *Pool) fetchEx(ctx context.Context, id page.PageID) (_ *Frame, missed bo
 			if cancelled != nil {
 				// Give back the pin taken above; the loader (or writer)
 				// owns its own pin and finishes undisturbed.
-				f.pins--
+				p.unpinLocked(f)
 				s.mu.Unlock()
 				return nil, false, waitNanos, cancelled
 			}
 			if stale {
-				f.pins--
+				p.unpinLocked(f)
 				continue
 			}
 			// The pin taken above prevents the frame from being
@@ -382,7 +419,7 @@ func (p *Pool) fetchEx(ctx context.Context, id page.PageID) (_ *Frame, missed bo
 			return f, false, waitNanos, nil
 		}
 		// Miss: claim a reusable frame in this shard.
-		f, dropped, err := p.claimLocked(s)
+		f, dropped, err := p.claimLocked(ctx, s)
 		if err != nil {
 			s.mu.Unlock()
 			return nil, false, waitNanos, err
@@ -426,7 +463,7 @@ func (p *Pool) fetchEx(ctx context.Context, id page.PageID) (_ *Frame, missed bo
 
 		s.lock()
 		if rerr != nil {
-			f.pins--
+			p.unpinLocked(f)
 			f.state = stateFree
 			delete(s.table, id)
 			s.cond.Broadcast()
@@ -448,8 +485,21 @@ func (p *Pool) fetchEx(ctx context.Context, id page.PageID) (_ *Frame, missed bo
 // mutex was released at any point, in which case the caller must
 // re-validate its own preconditions. A nil frame with nil error means a
 // race consumed the claim and the caller should retry.
-func (p *Pool) claimLocked(s *shard) (f *Frame, dropped bool, err error) {
-	stole := false
+//
+// When neither s nor a steal from its siblings yields a frame, every frame
+// is pinned: the claim waits for a pin to be released anywhere in the pool
+// and tries again. When no pin is released for p.deadlockAfter the pool is
+// deadlocked and growLocked decides between a new frame and
+// ErrPoolExhausted. It also fails when ctx (nil never fires) is done.
+func (p *Pool) claimLocked(ctx context.Context, s *shard) (f *Frame, dropped bool, err error) {
+	// released is armed before each steal walk, so a pin dropped after the
+	// walk looked at its frame still wakes the wait below.
+	var released <-chan struct{}
+	defer func() {
+		if released != nil {
+			p.claimers.Add(-1)
+		}
+	}()
 	for {
 		if f := s.victimLocked(); f != nil {
 			if f.state == stateReady && f.dirty {
@@ -465,10 +515,32 @@ func (p *Pool) claimLocked(s *shard) (f *Frame, dropped bool, err error) {
 			}
 			return f, dropped, nil
 		}
-		if stole {
-			return nil, dropped, ErrPoolExhausted
+		if released != nil {
+			// The steal walk and the rescan after it both came up empty.
+			grown := p.grown.Load()
+			s.mu.Unlock()
+			werr := p.awaitRelease(ctx, released)
+			s.lock()
+			dropped = true
+			if errors.Is(werr, ErrPoolExhausted) {
+				if f := p.growLocked(s); f != nil {
+					return f, dropped, nil
+				}
+				if p.grown.Load() != grown {
+					// Others waiting with us got new frames and are
+					// running: their pins will come back.
+					werr = nil
+				}
+			}
+			if werr != nil {
+				return nil, dropped, werr
+			}
+		} else {
+			p.claimers.Add(1)
 		}
-		stole = true
+		p.releaseMu.Lock()
+		released = p.released
+		p.releaseMu.Unlock()
 		// Local shard exhausted: steal a batch of evictable frames from
 		// sibling shards and adopt them. Group eviction — taking several
 		// clean frames per sibling-lock acquisition — amortizes the
@@ -499,6 +571,68 @@ func (p *Pool) claimLocked(s *shard) (f *Frame, dropped bool, err error) {
 	}
 }
 
+// awaitRelease parks a claimer until released closes, ctx fires, or the
+// pool has gone p.deadlockAfter without releasing any pin.
+func (p *Pool) awaitRelease(ctx context.Context, released <-chan struct{}) error {
+	var done <-chan struct{}
+	if ctx != nil {
+		done = ctx.Done()
+	}
+	t := time.NewTimer(p.deadlockAfter)
+	defer t.Stop()
+	select {
+	case <-released:
+		return nil
+	case <-done:
+		return ctx.Err()
+	case <-t.C:
+		select {
+		case <-released: // a release raced the deadline: not deadlocked
+			return nil
+		default:
+			return ErrPoolExhausted
+		}
+	}
+}
+
+// growLocked adds a free frame to s (s.mu held) to break a pin deadlock:
+// every frame pinned and no pin released for the deadlock period. Each
+// operation pins its whole root-to-leaf path and a split also pins its new
+// siblings while it holds node latches, so concurrent operations can
+// together need more frames than a small pool has: the splits wait here
+// for frames, the others wait for the splits' latches, and nobody
+// releases a pin. One more frame lets one operation finish. The pool grows
+// only when someone else is in the cycle — another claimer, or a goroutine
+// parked on a latch — and by at most its configured capacity in total.
+// Otherwise it returns nil and the caller gets ErrPoolExhausted: a lone
+// claimer with nobody waiting on a latch can only be waiting on its own
+// pins.
+func (p *Pool) growLocked(s *shard) *Frame {
+	if p.claimers.Load() < 2 && p.latchParked.Load() == 0 {
+		return nil
+	}
+	if p.grown.Add(1) > int64(p.capacity) {
+		p.grown.Add(-1)
+		return nil
+	}
+	f := p.newFrame(s)
+	s.frames = append(s.frames, f)
+	return f
+}
+
+// unpinLocked drops one pin on f (its home shard's mutex held) and, when
+// that was the last pin and claimers are parked on a fully pinned pool,
+// wakes them: the frame may now be evicted or stolen.
+func (p *Pool) unpinLocked(f *Frame) {
+	f.pins--
+	if f.pins == 0 && p.claimers.Load() > 0 {
+		p.releaseMu.Lock()
+		close(p.released)
+		p.released = make(chan struct{})
+		p.releaseMu.Unlock()
+	}
+}
+
 // writeBackLocked writes f's dirty page to disk under the WAL rule. Called
 // and returns with s.mu held (released around the I/O). ok reports that the
 // frame is clean and unpinned on return, i.e. immediately reusable.
@@ -517,8 +651,8 @@ func (p *Pool) writeBackLocked(s *shard, f *Frame) (ok bool, err error) {
 	}
 
 	s.lock()
-	f.pins--
 	f.state = stateReady
+	p.unpinLocked(f)
 	if werr != nil {
 		s.cond.Broadcast()
 		return false, fmt.Errorf("buffer: evict %d: %w", oldID, werr)
@@ -706,7 +840,7 @@ func (p *Pool) NewPage(level uint16) (*Frame, error) {
 	s := p.shardOf(id)
 	s.lock()
 	for {
-		f, _, err := p.claimLocked(s)
+		f, _, err := p.claimLocked(nil, s)
 		if err != nil {
 			s.mu.Unlock()
 			return nil, err
@@ -748,7 +882,7 @@ func (p *Pool) Unpin(f *Frame, dirty bool, updateLSN page.LSN) {
 		f.dirty = true
 		f.mods++
 	}
-	f.pins--
+	p.unpinLocked(f)
 	if f.pins < 0 {
 		s.mu.Unlock()
 		panic(fmt.Sprintf("buffer: negative pin count on page %d", f.id))
@@ -822,7 +956,7 @@ func (p *Pool) FlushWrote(id page.PageID) (bool, error) {
 		f.dirty = false
 		f.recLSN = 0
 	}
-	f.pins--
+	p.unpinLocked(f)
 	s.mu.Unlock()
 	return true, err
 }
@@ -886,7 +1020,7 @@ func (p *Pool) DirtyPages() map[page.PageID]page.LSN {
 func (p *Pool) Discard(f *Frame) {
 	s := f.home
 	s.lock()
-	f.pins--
+	p.unpinLocked(f)
 	if f.pins == 0 {
 		delete(s.table, f.id)
 		f.state = stateFree

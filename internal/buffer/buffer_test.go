@@ -1,11 +1,13 @@
 package buffer
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/latch"
 	"repro/internal/page"
@@ -121,8 +123,12 @@ func TestWALRuleOnEviction(t *testing.T) {
 	}
 }
 
+// TestPoolExhausted: a caller that has pinned the whole pool waits on its
+// own pins, which nothing will release, so the claim ends in
+// ErrPoolExhausted after the deadlock period (shortened here).
 func TestPoolExhausted(t *testing.T) {
 	p, _ := newPoolDisk(t, 2)
+	p.deadlockAfter = 20 * time.Millisecond
 	a, _ := p.NewPage(0)
 	b, _ := p.NewPage(0)
 	if _, err := p.NewPage(0); !errors.Is(err, ErrPoolExhausted) {
@@ -134,6 +140,61 @@ func TestPoolExhausted(t *testing.T) {
 	}
 	p.Unpin(b, false, 0)
 	p.Unpin(b, false, 0)
+}
+
+// TestFullPoolWaitsForUnpin: a fetch into a pool whose every frame is
+// pinned by another goroutine waits until a frame is released and then
+// succeeds, instead of failing with ErrPoolExhausted.
+func TestFullPoolWaitsForUnpin(t *testing.T) {
+	p, d := newPoolDisk(t, 2)
+	a, _ := p.NewPage(0)
+	b, _ := p.NewPage(0)
+	id, err := d.Allocate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan error, 1)
+	go func() {
+		f, err := p.Fetch(id)
+		if err == nil {
+			p.Unpin(f, false, 0)
+		}
+		got <- err
+	}()
+	select {
+	case err := <-got:
+		t.Fatalf("fetch into a fully pinned pool returned %v before any unpin", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	p.Unpin(a, true, 1)
+	if err := <-got; err != nil {
+		t.Fatalf("fetch after unpin: %v", err)
+	}
+	p.Unpin(b, true, 1)
+}
+
+// TestFullPoolWaitHonorsCtx: the wait for a frame on a fully pinned pool
+// ends with ctx's error when ctx fires first.
+func TestFullPoolWaitHonorsCtx(t *testing.T) {
+	p, d := newPoolDisk(t, 2)
+	a, _ := p.NewPage(0)
+	b, _ := p.NewPage(0)
+	id, err := d.Allocate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if _, err := p.FetchCtx(ctx, id); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("FetchCtx on a fully pinned pool = %v, want DeadlineExceeded", err)
+	}
+	p.Unpin(a, true, 1)
+	p.Unpin(b, true, 1)
+	f, err := p.Fetch(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Unpin(f, false, 0)
 }
 
 func TestFetchInvalidPage(t *testing.T) {

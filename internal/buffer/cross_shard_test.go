@@ -3,6 +3,7 @@ package buffer
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"repro/internal/page"
 	"repro/internal/storage"
@@ -14,6 +15,9 @@ import (
 func TestSaturatedShardStealsFromSiblings(t *testing.T) {
 	disk := storage.NewMemDisk()
 	pool := New(disk, 64, nil)
+	// This goroutine pins the whole pool itself: its last fetch waits on
+	// its own pins, so let the deadlock period run out quickly.
+	pool.deadlockAfter = 20 * time.Millisecond
 	if len(pool.shards) < 2 {
 		t.Fatalf("pool has %d shards, test needs > 1", len(pool.shards))
 	}

@@ -481,7 +481,6 @@ func runWriter(m *machine, mdl *model, cp *storage.CrashPoint, seed int64, gid, 
 	benign := func(err error) bool {
 		return cp.Crashed() ||
 			errors.Is(err, lock.ErrDeadlock) ||
-			errors.Is(err, buffer.ErrPoolExhausted) ||
 			errors.Is(err, storage.ErrCrashed) ||
 			errors.Is(err, wal.ErrLogFailed) ||
 			errors.Is(err, context.Canceled) ||

@@ -131,10 +131,14 @@ func (h *File) InsertCtx(ctx context.Context, tx *txn.Txn, rec []byte) (page.RID
 	f.Page.SetLSN(lsn)
 	tx.EndNTA()
 	h.pool.Unpin(f, true, lsn)
+	// Publish the page for placement only after this record is in it: a
+	// concurrent inserter that found it empty could otherwise fill it
+	// first and leave this insert with page.ErrPageFull.
+	rid, err := h.tryInsert(ctx, tx, id, rec)
 	h.mu.Lock()
 	h.pages = append(h.pages, id)
 	h.mu.Unlock()
-	return h.tryInsert(ctx, tx, id, rec)
+	return rid, err
 }
 
 // tryInsert attempts the insert on one page.

@@ -284,6 +284,38 @@ func TestConcurrentInsertsDistinctRIDs(t *testing.T) {
 	}
 }
 
+// TestConcurrentLargeInserts: records larger than half a page fill a page
+// each, so every insert allocates a fresh page. No inserter may take
+// another's freshly allocated page and leave it with page.ErrPageFull.
+func TestConcurrentLargeInserts(t *testing.T) {
+	e := newEnv(t)
+	const workers, per = 16, 40
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			tx, err := e.tm.Begin()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			rec := make([]byte, page.Size*5/8)
+			for i := 0; i < per; i++ {
+				rec[0], rec[1] = byte(w), byte(i)
+				if _, err := e.heap.Insert(tx, rec); err != nil {
+					t.Errorf("worker %d insert %d: %v", w, i, err)
+					break
+				}
+			}
+			if err := tx.Commit(); err != nil {
+				t.Error(err)
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
 func TestNotePageIdempotent(t *testing.T) {
 	e := newEnv(t)
 	e.heap.NotePage(5)

@@ -107,6 +107,25 @@ type Latch struct {
 	// itself orders the accesses, so a plain field suffices. Zero when
 	// instrumentation is off.
 	holdT0 int64
+
+	// parked, when set, counts the goroutines blocked in Acquire on this
+	// latch (see CountParked).
+	parked *atomic.Int64
+}
+
+// CountParked makes Acquire count the goroutines that block on l in n,
+// which several latches may share. The buffer pool shares one counter
+// among its frames to tell a claimer that waits on its own pins from one
+// whose pin holders wait on the claimer's latches. Call it before the
+// latch is first used.
+func (l *Latch) CountParked(n *atomic.Int64) { l.parked = n }
+
+// park adds d to the parked counter, if any. Only the contended path calls
+// it.
+func (l *Latch) park(d int64) {
+	if l.parked != nil {
+		l.parked.Add(d)
+	}
 }
 
 // Acquire takes the latch in the given mode, blocking until available.
@@ -119,23 +138,28 @@ func (l *Latch) Acquire(m Mode) {
 // which never reads the clock, and always 0 in the statsoff build).
 func (l *Latch) AcquireTimed(m Mode) int64 {
 	if m == S {
-		if !stats.Enabled {
-			l.mu.RLock()
-			sAcquires.Add(1)
-			return 0
-		}
 		var wait int64
 		if !l.mu.TryRLock() {
-			t0 := time.Now()
-			l.mu.RLock()
-			wait = time.Since(t0).Nanoseconds()
-			sWaitHist.Observe(wait)
+			l.park(1)
+			if stats.Enabled {
+				t0 := time.Now()
+				l.mu.RLock()
+				wait = time.Since(t0).Nanoseconds()
+				sWaitHist.Observe(wait)
+			} else {
+				l.mu.RLock()
+			}
+			l.park(-1)
 		}
 		sAcquires.Add(1)
 		return wait
 	}
 	if !stats.Enabled {
-		l.mu.Lock()
+		if !l.mu.TryLock() {
+			l.park(1)
+			l.mu.Lock()
+			l.park(-1)
+		}
 		l.ver.Add(1) // odd: writer inside; optimistic captures now fail
 		xAcquires.Add(1)
 		return 0
@@ -152,7 +176,9 @@ func (l *Latch) AcquireTimed(m Mode) int64 {
 		return 0
 	}
 	t0 := time.Now()
+	l.park(1)
 	l.mu.Lock()
+	l.park(-1)
 	now := time.Now()
 	wait = now.Sub(t0).Nanoseconds()
 	xWaitHist.Observe(wait)

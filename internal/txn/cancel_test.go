@@ -94,6 +94,8 @@ func TestCommitCtxPending(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Only a transaction that logged something forces the log at commit.
+	tx.Log(&wal.Record{Type: wal.RecHeapInsert, Pg: 9, RID: page.RID{Page: 9, Slot: 9}})
 	n := lock.ForRID(page.RID{Page: 9, Slot: 9})
 	if err := tx.Lock(n, lock.X); err != nil {
 		t.Fatal(err)
@@ -180,4 +182,77 @@ func TestRollbackToLSNStatement(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = keep
+}
+
+// TestReadOnlyCommitSkipsForce: a transaction that logged nothing commits
+// while the log's fsync is held stalled by a writer's commit. It appends no
+// record, leaves txn.commit_forces unchanged, and releases its locks.
+func TestReadOnlyCommitSkipsForce(t *testing.T) {
+	dir := t.TempDir()
+	fh, err := os.OpenFile(filepath.Join(dir, "wal.log"), os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sf := &stallFile{File: fh, entered: make(chan struct{}), release: make(chan struct{})}
+	l, err := wal.OpenFileLogHandle(sf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	m := NewManager(l, lock.NewManager(), predicate.NewManager())
+
+	w, err := m.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Log(&wal.Record{Type: wal.RecHeapInsert, Pg: 9, RID: page.RID{Page: 9, Slot: 9}})
+	sf.armed.Store(true)
+	wdone := make(chan error, 1)
+	go func() { wdone <- w.Commit() }()
+	<-sf.entered // the writer's commit fsync is in flight and stalled
+	released := false
+	defer func() {
+		if !released {
+			close(sf.release)
+		}
+	}()
+
+	forces := m.Metrics().Value("txn.commit_forces")
+	last := l.LastLSN()
+	r, err := m.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := lock.ForRID(page.RID{Page: 1, Slot: 1})
+	if err := r.Lock(n, lock.S); err != nil {
+		t.Fatal(err)
+	}
+	rdone := make(chan error, 1)
+	go func() { rdone <- r.Commit() }()
+	select {
+	case err := <-rdone:
+		if err != nil {
+			t.Fatalf("read-only commit: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("read-only commit waited on the stalled log force")
+	}
+	if got := l.LastLSN(); got != last {
+		t.Errorf("read-only transaction appended records: last LSN %d -> %d", last, got)
+	}
+	if got := m.Metrics().Value("txn.commit_forces"); got != forces {
+		t.Errorf("txn.commit_forces = %d after read-only commit, want %d", got, forces)
+	}
+	if r.State() != Committed {
+		t.Errorf("state = %v, want Committed", r.State())
+	}
+	if _, held := m.Locks().Holding(r.ID(), n); held {
+		t.Error("read-only commit kept its lock")
+	}
+
+	close(sf.release)
+	released = true
+	if err := <-wdone; err != nil {
+		t.Fatalf("writer commit: %v", err)
+	}
 }

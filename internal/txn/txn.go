@@ -151,12 +151,13 @@ func (m *Manager) Locks() *lock.Manager { return m.locks }
 // Predicates exposes the predicate manager.
 func (m *Manager) Predicates() *predicate.Manager { return m.preds }
 
-// Begin starts a new transaction: assigns an ID, writes the Begin record,
-// and takes the X lock on the transaction's own ID that others use to block
-// "on the transaction" (§10.3).
+// Begin starts a new transaction: assigns an ID and takes the X lock on the
+// transaction's own ID that others use to block "on the transaction"
+// (§10.3). It writes no log record: the Begin record is appended by the
+// transaction's first Log call, so a transaction that only reads never
+// touches the log (see CommitCtx).
 func (m *Manager) Begin() (*Txn, error) {
-	id := page.TxnID(m.nextID.Add(1))
-	return m.beginWithID(id)
+	return m.start(&Txn{id: page.TxnID(m.nextID.Add(1)), mgr: m, state: Active})
 }
 
 // ReadOnlyIDBase offsets read-only transaction ids into their own space,
@@ -165,23 +166,16 @@ func (m *Manager) Begin() (*Txn, error) {
 // writer.
 const ReadOnlyIDBase = page.TxnID(1) << 62
 
-// BeginReadOnly starts a transaction that never logs: no Begin record, no
-// Commit/End, ids drawn from ReadOnlyIDBase up. It takes locks and attaches
-// predicates like any transaction (isolation against local writers), but
-// calling Log on it panics — it is the read service of a replica, whose log
-// only the replication stream may append to. Read-only transactions are
-// excluded from checkpoints (nothing to recover) and from
-// MinActiveFirstLSN (firstLSN stays 0).
+// BeginReadOnly starts a transaction that may never log, with its id drawn
+// from ReadOnlyIDBase up. It takes locks and attaches predicates like any
+// transaction (isolation against local writers), but calling Log on it
+// panics — it is the read service of a replica, whose log only the
+// replication stream may append to. Like every transaction that logged
+// nothing it commits and aborts without a log record and is left out of
+// checkpoints and MinActiveFirstLSN.
 func (m *Manager) BeginReadOnly() (*Txn, error) {
 	id := ReadOnlyIDBase + page.TxnID(m.roNextID.Add(1))
-	tx := &Txn{id: id, mgr: m, state: Active, readOnly: true}
-	if err := m.locks.Lock(id, lock.ForTxn(id), lock.X); err != nil {
-		return nil, fmt.Errorf("txn: self lock: %w", err)
-	}
-	m.mu.Lock()
-	m.active[id] = tx
-	m.mu.Unlock()
-	return tx, nil
+	return m.start(&Txn{id: id, mgr: m, state: Active, readOnly: true})
 }
 
 // AdvanceTxnID raises the id counter to at least id, so transactions begun
@@ -197,17 +191,13 @@ func (m *Manager) AdvanceTxnID(id page.TxnID) {
 	}
 }
 
-// beginWithID is shared with recovery, which must re-instantiate loser
-// transactions under their original IDs.
-func (m *Manager) beginWithID(id page.TxnID) (*Txn, error) {
-	tx := &Txn{id: id, mgr: m, state: Active}
-	if err := m.locks.Lock(id, lock.ForTxn(id), lock.X); err != nil {
+// start takes tx's self lock and registers it as active.
+func (m *Manager) start(tx *Txn) (*Txn, error) {
+	if err := m.locks.Lock(tx.id, lock.ForTxn(tx.id), lock.X); err != nil {
 		return nil, fmt.Errorf("txn: self lock: %w", err)
 	}
-	tx.lastLSN = m.log.Append(&wal.Record{Type: wal.RecBegin, Txn: id})
-	tx.firstLSN = tx.lastLSN
 	m.mu.Lock()
-	m.active[id] = tx
+	m.active[tx.id] = tx
 	m.mu.Unlock()
 	return tx, nil
 }
@@ -218,14 +208,7 @@ func (m *Manager) AdoptLoser(id page.TxnID, lastLSN page.LSN) (*Txn, error) {
 	if cur := m.nextID.Load(); cur < uint64(id) {
 		m.nextID.Store(uint64(id))
 	}
-	tx := &Txn{id: id, mgr: m, state: Active, lastLSN: lastLSN}
-	if err := m.locks.Lock(id, lock.ForTxn(id), lock.X); err != nil {
-		return nil, err
-	}
-	m.mu.Lock()
-	m.active[id] = tx
-	m.mu.Unlock()
-	return tx, nil
+	return m.start(&Txn{id: id, mgr: m, state: Active, lastLSN: lastLSN})
 }
 
 // IsActive reports whether the transaction with the given id is still
@@ -286,12 +269,16 @@ func (m *Manager) Checkpoint(dpt func() map[page.PageID]page.LSN) (page.LSN, err
 	// transaction that began after the table was read. Without the anchor
 	// such records sit below the scan start and a committed transaction can
 	// be undone as a loser.
+	//
+	// A transaction that has logged nothing is left out: it has nothing to
+	// recover. Its lastLSN is read under tx.mu, the lock Log holds while it
+	// appends the Begin record, so a transaction seen here at 0 appends its
+	// Begin after the anchor, where analysis will find it.
 	r.PrevLSN = m.log.LastLSN()
 	for _, tx := range m.ActiveTxns() {
-		if tx.readOnly {
-			continue // nothing logged, nothing to recover
+		if last := tx.LastLSN(); last != 0 {
+			r.ATT = append(r.ATT, wal.TxnState{ID: tx.ID(), LastLSN: last})
 		}
-		r.ATT = append(r.ATT, wal.TxnState{ID: tx.ID(), LastLSN: tx.LastLSN()})
 	}
 	for id, rec := range dpt() {
 		r.DPT = append(r.DPT, wal.DirtyPage{ID: id, RecLSN: rec})
@@ -319,7 +306,7 @@ type Txn struct {
 	id  page.TxnID
 	mgr *Manager
 
-	readOnly bool // never logs; see Manager.BeginReadOnly
+	readOnly bool // Log panics; see Manager.BeginReadOnly
 
 	mu         sync.Mutex
 	state      State
@@ -346,17 +333,17 @@ type Txn struct {
 }
 
 // FlushWait returns the nanoseconds the commit spent waiting for its commit
-// record to become durable (0 before commit, for read-only transactions, and
-// in the statsoff build).
+// record to become durable (0 before commit, for transactions that logged
+// nothing, and in the statsoff build).
 func (tx *Txn) FlushWait() int64 { return tx.flushWait.Load() }
 
-// Wrote reports whether the transaction has logged anything beyond its
-// Begin record. Search-only transactions stay false, which lets
-// instrumentation skip commit tracing on the read path.
+// Wrote reports whether the transaction has logged anything. Search-only
+// transactions stay false: their commit writes no record and waits for no
+// force, so instrumentation skips commit tracing for them.
 func (tx *Txn) Wrote() bool {
 	tx.mu.Lock()
 	defer tx.mu.Unlock()
-	return tx.lastLSN != tx.firstLSN
+	return tx.lastLSN != 0
 }
 
 // ID returns the transaction id.
@@ -406,13 +393,19 @@ func (tx *Txn) Value(key any) any {
 }
 
 // Log appends r to the log as part of this transaction's backchain and
-// returns its LSN.
+// returns its LSN. The first call appends the transaction's Begin record
+// ahead of r, in the same critical section, so the Begin record, firstLSN
+// and lastLSN appear together to Checkpoint and MinActiveFirstLSN.
 func (tx *Txn) Log(r *wal.Record) page.LSN {
 	if tx.readOnly {
 		panic(fmt.Sprintf("txn %d: Log on a read-only transaction", tx.id))
 	}
 	tx.mu.Lock()
 	defer tx.mu.Unlock()
+	if tx.lastLSN == 0 {
+		tx.lastLSN = tx.mgr.log.Append(&wal.Record{Type: wal.RecBegin, Txn: tx.id})
+		tx.firstLSN = tx.lastLSN
+	}
 	r.Txn = tx.id
 	r.PrevLSN = tx.lastLSN
 	lsn := tx.mgr.log.Append(r)
@@ -592,7 +585,8 @@ func (tx *Txn) undoTo(stop page.LSN) error {
 }
 
 // Commit ends the transaction successfully: forces the Commit record to
-// disk (durability), releases predicates and locks, and writes End.
+// disk (durability), releases predicates and locks, and writes End. A
+// transaction that logged nothing skips the log entirely (see CommitCtx).
 func (tx *Txn) Commit() error {
 	return tx.CommitCtx(context.Background())
 }
@@ -604,6 +598,12 @@ func (tx *Txn) Commit() error {
 // it by the time the deadline is noticed the commit is reported as
 // committed — never rolled back — and if not, ErrCommitPending is returned
 // and the commit completes in the background when durability lands.
+//
+// A transaction that logged nothing writes no Commit or End record and
+// waits for no force: it has nothing to redo or undo, and everything it
+// read is already durable, because a writer holds its locks (and stays
+// active) until its own commit record is forced. It only releases its
+// predicates and locks and retires.
 func (tx *Txn) CommitCtx(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -614,13 +614,10 @@ func (tx *Txn) CommitCtx(ctx context.Context) error {
 		return ErrNotActive
 	}
 	tx.state = Committed
-	// Logged nothing beyond Begin: the flush-wait timing below is skipped
-	// for such transactions, keeping the read path free of clock reads.
-	wrote := tx.lastLSN != tx.firstLSN
+	wrote := tx.lastLSN != 0
 	tx.mu.Unlock()
 
-	if tx.readOnly {
-		// Nothing logged, nothing to force: release and retire.
+	if !wrote {
 		tx.release()
 		tx.mgr.finish(tx)
 		tx.mgr.commits.Inc()
@@ -634,11 +631,11 @@ func (tx *Txn) CommitCtx(ctx context.Context) error {
 	lsn, forced := tx.logCommit()
 	tx.mgr.commitForces.Inc()
 	var waitStart time.Time
-	if stats.Enabled && wrote {
+	if stats.Enabled {
 		waitStart = time.Now()
 	}
 	noteFlushWait := func() {
-		if stats.Enabled && wrote {
+		if stats.Enabled {
 			w := time.Since(waitStart).Nanoseconds()
 			tx.flushWait.Store(w)
 			tx.mgr.flushHist.Observe(w)
@@ -698,33 +695,30 @@ func (tx *Txn) finishCommit() {
 }
 
 // Abort rolls the transaction back completely and releases its resources.
+// A transaction that logged nothing has nothing to undo and writes no
+// Abort or End record.
 func (tx *Txn) Abort() error {
 	tx.mu.Lock()
 	if tx.state != Active {
 		tx.mu.Unlock()
 		return ErrNotActive
 	}
+	wrote := tx.lastLSN != 0
 	tx.mu.Unlock()
 
-	if tx.readOnly {
-		tx.mu.Lock()
-		tx.state = Aborted
-		tx.mu.Unlock()
-		tx.release()
-		tx.mgr.finish(tx)
-		tx.mgr.aborts.Inc()
-		return nil
-	}
-
-	tx.Log(&wal.Record{Type: wal.RecAbort})
-	if err := tx.undoTo(0); err != nil {
-		return err
+	if wrote {
+		tx.Log(&wal.Record{Type: wal.RecAbort})
+		if err := tx.undoTo(0); err != nil {
+			return err
+		}
 	}
 	tx.mu.Lock()
 	tx.state = Aborted
 	tx.mu.Unlock()
 	tx.release()
-	tx.Log(&wal.Record{Type: wal.RecEnd})
+	if wrote {
+		tx.Log(&wal.Record{Type: wal.RecEnd})
+	}
 	tx.mgr.finish(tx)
 	tx.mgr.aborts.Inc()
 	return nil

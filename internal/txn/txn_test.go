@@ -2,6 +2,7 @@ package txn
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/lock"
@@ -54,14 +55,53 @@ func TestBeginCommitLifecycle(t *testing.T) {
 	if _, held := m.Locks().Holding(tx.ID(), lock.ForTxn(tx.ID())); held {
 		t.Error("self lock survived commit")
 	}
-	// Log shape: Begin, Commit, End.
+	// A transaction that logged nothing leaves the log empty: the Begin
+	// record is written lazily and its commit needs no record.
+	if types := logTypes(m); len(types) != 0 {
+		t.Errorf("log after empty transaction = %v, want empty", types)
+	}
+
+	// A writing transaction logs Begin ahead of its first record, then
+	// Commit and End.
+	w, err := m.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Log(&wal.Record{Type: wal.RecHeapInsert, RID: page.RID{Page: 1, Slot: 0}})
+	if err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	want := []wal.RecType{wal.RecBegin, wal.RecHeapInsert, wal.RecCommit, wal.RecEnd}
+	if types := logTypes(m); !slices.Equal(types, want) {
+		t.Errorf("log = %v, want %v", types, want)
+	}
+	if c, a := m.Stats(); c != 2 || a != 0 {
+		t.Errorf("stats = %d commits %d aborts", c, a)
+	}
+}
+
+// logTypes returns the types of every record in m's log, oldest first.
+func logTypes(m *Manager) []wal.RecType {
 	var types []wal.RecType
 	m.Log().Scan(1, func(r *wal.Record) bool { types = append(types, r.Type); return true })
-	want := []wal.RecType{wal.RecBegin, wal.RecCommit, wal.RecEnd}
-	if len(types) != 3 || types[0] != want[0] || types[1] != want[1] || types[2] != want[2] {
-		t.Errorf("log = %v", types)
+	return types
+}
+
+// TestEmptyAbortLogsNothing: aborting a transaction that logged nothing
+// writes no Abort or End record and still releases its locks.
+func TestEmptyAbortLogsNothing(t *testing.T) {
+	m := newMgr()
+	tx, _ := m.Begin()
+	if err := tx.Abort(); err != nil {
+		t.Fatal(err)
 	}
-	if c, a := m.Stats(); c != 1 || a != 0 {
+	if types := logTypes(m); len(types) != 0 {
+		t.Errorf("log after empty abort = %v, want empty", types)
+	}
+	if _, held := m.Locks().Holding(tx.ID(), lock.ForTxn(tx.ID())); held {
+		t.Error("self lock survived abort")
+	}
+	if c, a := m.Stats(); c != 0 || a != 1 {
 		t.Errorf("stats = %d commits %d aborts", c, a)
 	}
 }
@@ -296,6 +336,10 @@ func TestCheckpointRecordsATTAndDPT(t *testing.T) {
 	m := newMgr()
 	tx, _ := m.Begin()
 	tx.Log(&wal.Record{Type: wal.RecHeapInsert})
+	// A live transaction that has logged nothing has nothing to recover
+	// and stays out of the ATT.
+	idle, _ := m.Begin()
+	defer idle.Commit()
 	lsn, err := m.Checkpoint(func() map[page.PageID]page.LSN {
 		return map[page.PageID]page.LSN{5: 2}
 	})

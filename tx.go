@@ -33,7 +33,8 @@ type cursorMark struct {
 func (tx *Tx) ID() uint64 { return uint64(tx.inner.ID()) }
 
 // Commit makes the transaction's effects durable and visible, releasing
-// its locks and predicates.
+// its locks and predicates. A transaction that wrote nothing commits
+// without a log record or a log force.
 func (tx *Tx) Commit() error {
 	done := tx.traceCommit()
 	if err := tx.inner.Commit(); err != nil {
@@ -46,9 +47,11 @@ func (tx *Tx) Commit() error {
 
 // traceCommit arms a flight-recorder trace for the commit; the returned
 // function records it (call only on successful commit). A no-op returning a
-// no-op in the statsoff build and for transactions that logged nothing —
-// read-path commits carry no durability wait worth a ring slot, and skipping
-// them keeps the search hot path free of the extra clock reads.
+// no-op in the statsoff build and for transactions that logged nothing:
+// their commit writes no log record and waits for no force (a writer holds
+// its locks until its own commit is durable, so all they read is already
+// on disk), and skipping them keeps the search hot path free of the extra
+// clock reads.
 func (tx *Tx) traceCommit() func() {
 	if !stats.Enabled || !tx.inner.Wrote() {
 		return func() {}
