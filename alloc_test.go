@@ -1,0 +1,68 @@
+package gistdb_test
+
+import (
+	"testing"
+
+	gistdb "repro"
+	"repro/internal/btree"
+)
+
+// TestSearchAllocations pins the heap allocations of a warm point search
+// and a warm 100-key ReadCommitted range search through the facade
+// (transaction begin and commit included), so the read path's per-entry
+// cost cannot grow back silently. A node visit reads slot views off the
+// page and probes ReadCommitted record locks without allocating; what
+// remains is per-operation set-up plus, per returned entry, the copied key
+// and the growth of the result slice and the cursor's seen map. The limits
+// are the counts measured with instrumentation compiled in (-tags statsoff
+// saves one more); a change that moves them updates them here.
+func TestSearchAllocations(t *testing.T) {
+	db, err := gistdb.Open(gistdb.Options{PoolPages: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	idx, err := db.CreateIndex("allocs", btree.Ops{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 2000
+	tx, _ := db.Begin()
+	for i := int64(0); i < n; i++ {
+		if _, err := idx.Insert(tx, btree.EncodeKey(i), []byte("r")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	search := func(lo, hi int64, iso gistdb.Isolation, want int) func() {
+		q := btree.EncodeRange(lo, hi)
+		return func() {
+			tx, _ := db.Begin()
+			hits, err := idx.Search(tx, q, iso)
+			if err != nil || len(hits) != want {
+				t.Fatalf("search [%d,%d]: %d hits, %v", lo, hi, len(hits), err)
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, c := range []struct {
+		name string
+		fn   func()
+		max  float64
+	}{
+		{"point/ReadCommitted", search(777, 777, gistdb.ReadCommitted, 1), 25},
+		{"point/RepeatableRead", search(777, 777, gistdb.RepeatableRead, 1), 37},
+		{"range100/ReadCommitted", search(500, 599, gistdb.ReadCommitted, 100), 151},
+	} {
+		c.fn() // warm the pools
+		got := testing.AllocsPerRun(100, c.fn)
+		t.Logf("%s: %.0f allocs/op", c.name, got)
+		if got > c.max {
+			t.Errorf("%s: %.0f allocs/op, want at most %.0f", c.name, got, c.max)
+		}
+	}
+}

@@ -320,14 +320,13 @@ func (ix *Index) splitNodeLink(f *buffer.Frame, stack []*buffer.Frame) (*buffer.
 		return newF, nil
 	}
 
-	// Install the downlink under the already-held parent latch.
+	// Install the downlink under the already-held parent latch. The
+	// parent entry of f keeps its old predicate, which still covers the
+	// entries moved to newF, until the downlink sits beside it: a parent
+	// split below computes the grandparent's predicates from it, and a
+	// reader of the grandparent between that split and the downlink's
+	// arrival must still be led to newF's keys.
 	origBP := ix.computedBP(&f.Page)
-	if err := parentF.Page.ReplaceEntry(slot, page.Entry{Pred: origBP, Child: f.ID()}); err != nil {
-		releaseNew()
-		releaseParent()
-		return nil, err
-	}
-	ix.pool.MarkDirty(parentF, 0)
 	add := page.Entry{Pred: ix.computedBP(&newF.Page), Child: newF.ID()}
 	if ix.needsSplit(&parentF.Page, add.EncodedLen(false)) {
 		var up []*buffer.Frame
@@ -341,11 +340,14 @@ func (ix *Index) splitNodeLink(f *buffer.Frame, stack []*buffer.Frame) (*buffer.
 			return nil, err
 		}
 		ix.Splits.Add(1)
-		target := parentF
-		if parentF.Page.FindChild(f.ID()) < 0 {
-			target = parentSib
+		target, tslot := parentF, parentF.Page.FindChild(f.ID())
+		if tslot < 0 {
+			target, tslot = parentSib, parentSib.Page.FindChild(f.ID())
 		}
-		_, err = target.Page.InsertEntry(add)
+		err = target.Page.ReplaceEntry(tslot, page.Entry{Pred: origBP, Child: f.ID()})
+		if err == nil {
+			_, err = target.Page.InsertEntry(add)
+		}
 		ix.pool.MarkDirty(target, 0)
 		if err == nil {
 			// The recursive split tightened the grandparent's entry
@@ -360,6 +362,11 @@ func (ix *Index) splitNodeLink(f *buffer.Frame, stack []*buffer.Frame) (*buffer.
 			return nil, err
 		}
 		return newF, nil
+	}
+	if err := parentF.Page.ReplaceEntry(slot, page.Entry{Pred: origBP, Child: f.ID()}); err != nil {
+		releaseNew()
+		releaseParent()
+		return nil, err
 	}
 	if _, err := parentF.Page.InsertEntry(add); err != nil {
 		releaseNew()

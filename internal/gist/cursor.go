@@ -162,7 +162,7 @@ func (c *Cursor) Next() (SearchResult, bool, error) {
 				return SearchResult{}, false, err
 			}
 			if redo != nil {
-				if lerr := c.o.lockRecord(redo.rid, c.iso); lerr != nil {
+				if lerr := c.o.waitRecord(redo.rid); lerr != nil {
 					return SearchResult{}, false, lerr
 				}
 				c.stack = append(c.stack, se)
@@ -174,13 +174,10 @@ func (c *Cursor) Next() (SearchResult, bool, error) {
 				childNSN = f.Page.LSN()
 			}
 			for i := 0; i < f.Page.NumSlots(); i++ {
-				e, err := f.Page.Entry(i)
-				if err != nil {
-					continue
-				}
-				if t.ops.Consistent(e.Pred, c.query) {
-					c.stack = append(c.stack, stackEntry{pg: e.Child, nsn: childNSN})
-					c.o.signal(e.Child)
+				if pred, ok := f.Page.PredAt(i); ok && t.ops.Consistent(pred, c.query) {
+					child := f.Page.ChildAt(i)
+					c.stack = append(c.stack, stackEntry{pg: child, nsn: childNSN})
+					c.o.signal(child)
 				}
 			}
 			c.o.unlatchPage(f, latch.S)

@@ -107,13 +107,10 @@ func (t *Tree) DeleteCtx(ctx context.Context, tx *txn.Txn, key []byte, rid page.
 				childNSN = f.Page.LSN()
 			}
 			for i := 0; i < f.Page.NumSlots(); i++ {
-				e, err := f.Page.Entry(i)
-				if err != nil {
-					continue
-				}
-				if t.ops.Consistent(e.Pred, query) {
-					stack = append(stack, stackEntry{pg: e.Child, nsn: childNSN})
-					o.signal(e.Child)
+				if pred, ok := f.Page.PredAt(i); ok && t.ops.Consistent(pred, query) {
+					child := f.Page.ChildAt(i)
+					stack = append(stack, stackEntry{pg: child, nsn: childNSN})
+					o.signal(child)
 				}
 			}
 		}
@@ -141,11 +138,13 @@ func (o *op) gcLeafLocked(f *buffer.Frame, stack []pathEntry) {
 	var victims []int
 	var bodies [][]byte
 	for i := 0; i < f.Page.NumSlots(); i++ {
-		e, err := f.Page.Entry(i)
-		if err != nil {
+		if _, ok := f.Page.PredAt(i); !ok {
 			continue
 		}
-		if e.Deleted && e.Deleter != page.InvalidTxn && !t.tm.IsActive(e.Deleter) {
+		if _, deleted := f.Page.LeafAt(i); !deleted {
+			continue
+		}
+		if d := f.Page.DeleterAt(i); d != page.InvalidTxn && !t.tm.IsActive(d) {
 			victims = append(victims, i)
 			b, _ := f.Page.SlotBytes(i)
 			bodies = append(bodies, append([]byte(nil), b...))
@@ -219,8 +218,7 @@ func (o *op) shrinkParentBP(f *buffer.Frame, stack []pathEntry) {
 			t.pool.Unpin(parentF, false, 0)
 		}
 	}()
-	oldPred := parentF.Page.MustEntry(slot).Pred
-	if bytes.Equal(oldPred, newBP) {
+	if oldPred, _ := parentF.Page.PredAt(slot); bytes.Equal(oldPred, newBP) {
 		return
 	}
 	if err := o.tx.BeginNTA(); err != nil {
@@ -352,18 +350,18 @@ func (o *op) collectLeafRefs() ([]LeafRef, error) {
 		} else {
 			leafLevelBelow := f.Page.Level() == 1
 			for i := 0; i < f.Page.NumSlots(); i++ {
-				e, err := f.Page.Entry(i)
-				if err != nil {
+				if _, ok := f.Page.PredAt(i); !ok {
 					continue
 				}
-				if visited[e.Child] {
+				child := f.Page.ChildAt(i)
+				if visited[child] {
 					continue
 				}
-				visited[e.Child] = true
+				visited[child] = true
 				if leafLevelBelow {
-					leaves = append(leaves, LeafRef{Leaf: e.Child, Parent: pg})
+					leaves = append(leaves, LeafRef{Leaf: child, Parent: pg})
 				} else {
-					frontier = append(frontier, e.Child)
+					frontier = append(frontier, child)
 				}
 			}
 		}
@@ -468,13 +466,12 @@ func (t *Tree) Destroy(tx *txn.Txn) error {
 		o.latchPage(f, latch.S)
 		if !f.Page.IsLeaf() {
 			for i := 0; i < f.Page.NumSlots(); i++ {
-				e, err := f.Page.Entry(i)
-				if err != nil {
+				if _, ok := f.Page.PredAt(i); !ok {
 					continue
 				}
-				if !visited[e.Child] {
-					visited[e.Child] = true
-					frontier = append(frontier, e.Child)
+				if child := f.Page.ChildAt(i); !visited[child] {
+					visited[child] = true
+					frontier = append(frontier, child)
 				}
 			}
 		}

@@ -648,11 +648,9 @@ func (o *op) unlatchPage(f *buffer.Frame, m latch.Mode) {
 func (t *Tree) computedBP(p *page.Page) []byte {
 	var bp []byte
 	for i := 0; i < p.NumSlots(); i++ {
-		e, err := p.Entry(i)
-		if err != nil {
-			continue
+		if pred, ok := p.PredAt(i); ok {
+			bp = t.ops.Union(bp, pred)
 		}
-		bp = t.ops.Union(bp, e.Pred)
 	}
 	return bp
 }

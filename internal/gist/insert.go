@@ -206,23 +206,14 @@ func (o *op) locateLeaf(key []byte) (*buffer.Frame, []pathEntry, error) {
 		}
 
 		// Choose the minimal-penalty branch.
-		bestSlot, bestPenalty := -1, math.Inf(1)
-		for i := 0; i < f.Page.NumSlots(); i++ {
-			e, err := f.Page.Entry(i)
-			if err != nil {
-				continue
-			}
-			if p := t.ops.Penalty(e.Pred, key); p < bestPenalty {
-				bestPenalty, bestSlot = p, i
-			}
-		}
+		bestSlot := t.minPenaltySlot(&f.Page, key)
 		if bestSlot < 0 {
 			o.unlatchPage(f, mode)
 			t.pool.Unpin(f, false, 0)
 			o.releasePath(stack)
 			return nil, nil, fmt.Errorf("gist: internal node %d has no entries", f.ID())
 		}
-		child := f.Page.MustEntry(bestSlot).Child
+		child := f.Page.ChildAt(bestSlot)
 		// Memorize the counter while still latched (Figure 4); the
 		// §10.1 optimization uses the node's own LSN instead.
 		next := t.counter()
@@ -283,6 +274,23 @@ func (o *op) bestInChain(f *buffer.Frame, mode latch.Mode, memorized page.LSN, k
 	}
 	o.latchPage(w, mode)
 	return w, nil
+}
+
+// minPenaltySlot returns the slot of the internal entry whose predicate the
+// extension's Penalty ranks best for key (the first of equals), or -1 on
+// an empty node.
+func (t *Tree) minPenaltySlot(p *page.Page, key []byte) int {
+	bestSlot, bestPenalty := -1, math.Inf(1)
+	for i := 0; i < p.NumSlots(); i++ {
+		pred, ok := p.PredAt(i)
+		if !ok {
+			continue
+		}
+		if pen := t.ops.Penalty(pred, key); pen < bestPenalty {
+			bestPenalty, bestSlot = pen, i
+		}
+	}
+	return bestSlot
 }
 
 // chainPenalty scores a whole node as an insertion target: the cost of
@@ -410,13 +418,12 @@ func (o *op) findParentSlowFrom(root, child page.PageID, childLevel uint16) (*bu
 				frontier = append(frontier, rl)
 			}
 			for i := 0; i < f.Page.NumSlots(); i++ {
-				e, err := f.Page.Entry(i)
-				if err != nil {
+				if _, ok := f.Page.PredAt(i); !ok {
 					continue
 				}
-				if !visited[e.Child] {
-					visited[e.Child] = true
-					frontier = append(frontier, e.Child)
+				if child := f.Page.ChildAt(i); !visited[child] {
+					visited[child] = true
+					frontier = append(frontier, child)
 				}
 			}
 			o.unlatchPage(f, latch.S)

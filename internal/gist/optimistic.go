@@ -43,8 +43,8 @@ package gist
 //     are committed into the cursor inline (the same loop as the latched
 //     scan) and rolled back if the re-validation fails — safe because
 //     the cursor exposes nothing until the visit returns. Under
-//     ReadCommitted each lock is an instant-duration probe released on
-//     the spot; under RepeatableRead the locks stay with the transaction
+//     ReadCommitted each lock is an instant-duration probe that grants
+//     nothing; under RepeatableRead the locks stay with the transaction
 //     either way, so a retried visit re-grants them instantly.
 //
 // The buffer pool backs all of this by poisoning a frame's version when
@@ -53,13 +53,11 @@ package gist
 // remap — the poison is the fail-closed backstop.
 
 import (
-	"math"
 	"runtime"
 	"sync"
 
 	"repro/internal/buffer"
 	"repro/internal/latch"
-	"repro/internal/lock"
 	"repro/internal/page"
 )
 
@@ -217,45 +215,37 @@ func (c *Cursor) optLeafVisit(f *buffer.Frame, se stackEntry, snap *page.Page, v
 		c.pending = c.pending[:pendBase]
 	}
 	for i := 0; i < snap.NumSlots(); i++ {
-		e, eerr := snap.Entry(i)
-		if eerr != nil {
+		key, ok := snap.PredAt(i)
+		if !ok || !t.ops.Consistent(key, c.query) {
 			continue
 		}
-		if !t.ops.Consistent(e.Pred, c.query) {
+		rid, deleted := snap.LeafAt(i)
+		if c.seen[rid] {
 			continue
 		}
-		if c.seen[e.RID] {
-			continue
-		}
-		if !t.locks.TryLock(o.tx.ID(), lock.ForRID(e.RID), lock.S) {
+		if !o.lockResult(rid, deleted, c.iso) {
 			if !f.Latch.Validate(v) {
 				rollback()
 			}
 			t.pool.Unpin(f, false, 0)
-			if lerr := o.lockRecord(e.RID, c.iso); lerr != nil {
+			if lerr := o.waitRecord(rid); lerr != nil {
 				return true, lerr
 			}
 			c.stack = append(c.stack, se)
 			return true, nil
 		}
-		if e.Deleted {
-			// The snapshot says dead and we hold the record lock, so the
+		if deleted {
+			// The snapshot says dead and the record lock is free, so the
 			// deleter terminated. If it aborted after our copy, the unmark
 			// bumped the version and the validation below restarts us;
 			// within a validated window the mark is trustworthy.
-			t.locks.Unlock(o.tx.ID(), lock.ForRID(e.RID))
 			continue
 		}
-		key := append([]byte(nil), e.Pred...)
-		c.pending = append(c.pending, SearchResult{Key: key, RID: e.RID})
-		c.seen[e.RID] = true
-		if c.iso == ReadCommitted {
-			// Instant-duration probe, exactly like the latched scan: the
-			// lock only certifies that no writer was active on the RID,
-			// and the validation below vouches for the snapshot across
-			// the whole window.
-			t.locks.Unlock(o.tx.ID(), lock.ForRID(e.RID))
-		}
+		// A probed lock (ReadCommitted) only certifies that no writer was
+		// active on the RID; the validation below vouches for the
+		// snapshot across the whole window.
+		c.pending = append(c.pending, SearchResult{Key: append([]byte(nil), key...), RID: rid})
+		c.seen[rid] = true
 	}
 	rl := page.InvalidPage
 	if snap.NSN() > se.nsn {
@@ -298,12 +288,8 @@ func (c *Cursor) optInternalVisit(f *buffer.Frame, se stackEntry, snap *page.Pag
 		childNSN = snap.LSN()
 	}
 	for i := 0; i < snap.NumSlots(); i++ {
-		e, err := snap.Entry(i)
-		if err != nil {
-			continue
-		}
-		if t.ops.Consistent(e.Pred, c.query) {
-			push = append(push, stackEntry{pg: e.Child, nsn: childNSN})
+		if pred, ok := snap.PredAt(i); ok && t.ops.Consistent(pred, c.query) {
+			push = append(push, stackEntry{pg: snap.ChildAt(i), nsn: childNSN})
 		}
 	}
 	for _, p := range push {
@@ -344,20 +330,11 @@ func (o *op) descendOptimistic(f *buffer.Frame, expect page.PageID, curNSN page.
 			// which the insert path always latches X). Not a fallback.
 			return 0, 0, false
 		}
-		bestSlot, bestPenalty := -1, math.Inf(1)
-		for i := 0; i < snap.NumSlots(); i++ {
-			e, err := snap.Entry(i)
-			if err != nil {
-				continue
-			}
-			if p := t.ops.Penalty(e.Pred, key); p < bestPenalty {
-				bestPenalty, bestSlot = p, i
-			}
-		}
+		bestSlot := t.minPenaltySlot(snap, key)
 		if bestSlot < 0 {
 			return 0, 0, false // empty internal node: let the latched path report it
 		}
-		child = snap.MustEntry(bestSlot).Child
+		child = snap.ChildAt(bestSlot)
 		next = ctr
 		if t.cfg.ParentLSNOpt {
 			next = snap.LSN()

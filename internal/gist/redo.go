@@ -56,7 +56,7 @@ func Redo(r *wal.Record, p *page.Page, pg page.PageID) error {
 		if clr {
 			// Compensation: the split is reversed on the original.
 			for _, b := range r.Moved {
-				if findBody(p, b) < 0 {
+				if p.FindBody(b) < 0 {
 					if _, err := p.InsertBytes(b); err != nil {
 						return err
 					}
@@ -69,7 +69,7 @@ func Redo(r *wal.Record, p *page.Page, pg page.PageID) error {
 		if pg == r.Pg {
 			// Original page: moved entries leave; stamp new NSN.
 			for _, b := range r.Moved {
-				if slot := findBody(p, b); slot >= 0 {
+				if slot := p.FindBody(b); slot >= 0 {
 					p.DeleteSlot(slot)
 				}
 			}
@@ -98,10 +98,10 @@ func Redo(r *wal.Record, p *page.Page, pg page.PageID) error {
 
 	case wal.RecInternalEntryAdd:
 		if clr {
-			if slot := findBody(p, r.Body); slot >= 0 {
+			if slot := p.FindBody(r.Body); slot >= 0 {
 				p.DeleteSlot(slot)
 			}
-		} else if findBody(p, r.Body) < 0 {
+		} else if p.FindBody(r.Body) < 0 {
 			if _, err := p.InsertBytes(r.Body); err != nil {
 				return err
 			}
@@ -118,12 +118,12 @@ func Redo(r *wal.Record, p *page.Page, pg page.PageID) error {
 
 	case wal.RecInternalEntryDelete:
 		if clr {
-			if findBody(p, r.Body) < 0 {
+			if p.FindBody(r.Body) < 0 {
 				if _, err := p.InsertBytes(r.Body); err != nil {
 					return err
 				}
 			}
-		} else if slot := findBody(p, r.Body); slot >= 0 {
+		} else if slot := p.FindBody(r.Body); slot >= 0 {
 			p.DeleteSlot(slot)
 		}
 
@@ -163,7 +163,7 @@ func Redo(r *wal.Record, p *page.Page, pg page.PageID) error {
 	case wal.RecGarbageCollection:
 		// Redo-only: remove the recorded entries from the leaf.
 		for _, b := range r.Moved {
-			if slot := findBody(p, b); slot >= 0 {
+			if slot := p.FindBody(b); slot >= 0 {
 				p.DeleteSlot(slot)
 			}
 		}

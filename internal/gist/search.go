@@ -117,47 +117,57 @@ type lockBlock struct {
 // already in seen are skipped so that rescans never duplicate results
 // (footnote 9 of the paper).
 func (o *op) scanLeaf(f *buffer.Frame, se stackEntry, query []byte, iso Isolation, seen map[page.RID]bool, results *[]SearchResult) (*lockBlock, error) {
-	t := o.t
-	for i := 0; i < f.Page.NumSlots(); i++ {
-		e, err := f.Page.Entry(i)
-		if err != nil {
+	p := &f.Page
+	for i := 0; i < p.NumSlots(); i++ {
+		key, ok := p.PredAt(i)
+		if !ok || !o.t.ops.Consistent(key, query) {
 			continue
 		}
-		if !t.ops.Consistent(e.Pred, query) {
+		rid, deleted := p.LeafAt(i)
+		if seen[rid] {
 			continue
 		}
-		if seen[e.RID] {
-			continue
-		}
-		if !t.locks.TryLock(o.tx.ID(), lock.ForRID(e.RID), lock.S) {
+		if !o.lockResult(rid, deleted, iso) {
 			// A writer (inserter or logical deleter) holds the
 			// record: Degree 3 requires waiting for it. The
 			// deleted entry's physical presence is exactly what
 			// gives us this chance to block (§7).
-			return &lockBlock{rid: e.RID}, nil
+			return &lockBlock{rid: rid}, nil
 		}
-		// Lock acquired instantly; the entry state is final for any
+		// Lock granted instantly; the entry state is final for any
 		// terminated writer: a committed delete leaves the mark set,
 		// an aborted delete has unmarked it.
-		if e.Deleted {
-			// Not a result; drop the lock so the dead RID can be
-			// reused (range protection is the predicate's job).
-			t.locks.Unlock(o.tx.ID(), lock.ForRID(e.RID))
+		if deleted {
 			continue
 		}
-		key := append([]byte(nil), e.Pred...)
-		*results = append(*results, SearchResult{Key: key, RID: e.RID})
-		seen[e.RID] = true
-		if iso == ReadCommitted {
-			t.locks.Unlock(o.tx.ID(), lock.ForRID(e.RID))
-		}
+		*results = append(*results, SearchResult{Key: append([]byte(nil), key...), RID: rid})
+		seen[rid] = true
 	}
 	return nil, nil
 }
 
-// lockRecord blocks until the record lock is available, honoring the
-// isolation level's lock duration.
-func (o *op) lockRecord(rid page.RID, iso Isolation) error {
+// lockResult takes the S record lock a matching leaf entry needs without
+// waiting, and reports whether it was granted. Only a live entry returned
+// under RepeatableRead keeps its lock to end of transaction; a
+// ReadCommitted result or a logically deleted entry needs the lock for an
+// instant only (it certifies that no writer is active on the record; range
+// protection is the predicate's job), so it is probed, which also leaves a
+// lock the transaction already holds on the record — its own insert or
+// delete — in place.
+func (o *op) lockResult(rid page.RID, deleted bool, iso Isolation) bool {
+	if deleted || iso == ReadCommitted {
+		return o.t.locks.Probe(o.tx.ID(), lock.ForRID(rid), lock.S)
+	}
+	return o.t.locks.TryLock(o.tx.ID(), lock.ForRID(rid), lock.S)
+}
+
+// waitRecord blocks until the record lock a failed lockResult wanted is
+// free, then releases it: the rescan that follows takes the lock again
+// through lockResult, so a blocked entry ends up locked for exactly as
+// long as one met without a conflict. The release drops only the hold this
+// wait granted, because the failed lockResult proved the transaction held
+// no covering lock on the record.
+func (o *op) waitRecord(rid page.RID) error {
 	err := o.tx.LockCtx(o.context(), lock.ForRID(rid), lock.S)
 	if err != nil {
 		if errors.Is(err, lock.ErrDeadlock) {
@@ -165,8 +175,6 @@ func (o *op) lockRecord(rid page.RID, iso Isolation) error {
 		}
 		return err
 	}
-	if iso == ReadCommitted {
-		o.t.locks.Unlock(o.tx.ID(), lock.ForRID(rid))
-	}
+	o.t.locks.Unlock(o.tx.ID(), lock.ForRID(rid))
 	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/latch"
-	"repro/internal/lock"
 	"repro/internal/page"
 	"repro/internal/txn"
 	"repro/internal/wal"
@@ -154,7 +153,7 @@ func (t *Tree) undoSplit(r *wal.Record, tx *txn.Txn) error {
 // undoInternalEntryAdd removes the added parent entry (matched by content).
 func (t *Tree) undoInternalEntryAdd(r *wal.Record, tx *txn.Txn) error {
 	return t.withPageX(r.Pg, func(p *page.Page) (page.LSN, error) {
-		if slot := findBody(p, r.Body); slot >= 0 {
+		if slot := p.FindBody(r.Body); slot >= 0 {
 			if err := p.DeleteSlot(slot); err != nil {
 				return 0, err
 			}
@@ -186,7 +185,7 @@ func (t *Tree) undoInternalEntryUpdate(r *wal.Record, tx *txn.Txn) error {
 // undoInternalEntryDelete reinstalls the removed parent entry.
 func (t *Tree) undoInternalEntryDelete(r *wal.Record, tx *txn.Txn) error {
 	return t.withPageX(r.Pg, func(p *page.Page) (page.LSN, error) {
-		if findBody(p, r.Body) < 0 {
+		if p.FindBody(r.Body) < 0 {
 			if _, err := p.InsertBytes(r.Body); err != nil {
 				return 0, err
 			}
@@ -207,12 +206,7 @@ func (t *Tree) undoGetPage(r *wal.Record, tx *txn.Txn) error {
 	if err != nil {
 		return err
 	}
-	if t.locks.TryLock(tx.ID(), lock.ForNode(r.Pg), lock.X) {
-		t.locks.Unlock(tx.ID(), lock.ForNode(r.Pg))
-		t.quarantinePage(r.Pg)
-	} else {
-		t.quarantinePage(r.Pg)
-	}
+	t.quarantinePage(r.Pg)
 	return nil
 }
 
@@ -252,20 +246,6 @@ func (t *Tree) undoRootChange(r *wal.Record, tx *txn.Txn) error {
 		}, r.PrevLSN)
 		return lsn, nil
 	})
-}
-
-// findBody returns the slot holding exactly the given bytes, or -1.
-func findBody(p *page.Page, body []byte) int {
-	for i := 0; i < p.NumSlots(); i++ {
-		b, err := p.SlotBytes(i)
-		if err != nil {
-			continue
-		}
-		if string(b) == string(body) {
-			return i
-		}
-	}
-	return -1
 }
 
 // DrainQuarantine force-releases quarantined pages; callable only when no

@@ -177,6 +177,7 @@ type Manager struct {
 
 	reg          *stats.Registry
 	acquisitions *stats.Counter
+	probes       *stats.Counter
 	waits        *stats.Counter
 	deadlocks    *stats.Counter
 	contended    *stats.Counter
@@ -200,6 +201,7 @@ func NewManager() *Manager {
 	m.stripes = make([]stripe, n)
 	m.heldStripes = make([]heldStripe, n)
 	m.acquisitions = m.reg.Counter("lock.acquisitions")
+	m.probes = m.reg.Counter("lock.probes")
 	m.waits = m.reg.Counter("lock.waits")
 	m.deadlocks = m.reg.Counter("lock.deadlocks")
 	m.contended = m.reg.Counter("lock.stripe_contention")
@@ -454,6 +456,28 @@ func (m *Manager) TryLock(txn page.TxnID, n Name, mode Mode) bool {
 		return true
 	}
 	return false
+}
+
+// Probe reports whether txn could be granted n in mode right now: an
+// instant-duration lock, granted and released in one step under the stripe
+// mutex. It answers as TryLock would — a covering hold of txn's own
+// succeeds, and a fresh request fails behind any queued waiter (FIFO) — but
+// grants nothing: it allocates nothing, leaves the lock table and held sets
+// untouched, and in particular leaves a hold txn already has in place,
+// where TryLock followed by Unlock would drop it.
+func (m *Manager) Probe(txn page.TxnID, n Name, mode Mode) bool {
+	m.probes.Inc()
+	st := m.stripeOf(n)
+	st.lock()
+	defer st.mu.Unlock()
+	ll, ok := st.table[n]
+	if !ok {
+		return true
+	}
+	if cur, held := ll.granted[txn]; held {
+		return covers(cur, mode) || canGrantLocked(ll, txn, mode)
+	}
+	return len(ll.queue) == 0 && canGrantLocked(ll, txn, mode)
 }
 
 // Unlock releases txn's hold on n and grants any now-compatible waiters.

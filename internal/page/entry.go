@@ -199,16 +199,69 @@ func (p *Page) Entries() []Entry {
 	return out
 }
 
+// Slot views. A node visit reads each slot's fields straight off the page
+// instead of decoding an Entry per slot: PredAt validates the slot exactly
+// as DecodeEntry does and returns the predicate bytes aliasing the page;
+// ChildAt, LeafAt and DeleterAt read the fixed-size fields that follow the
+// predicate and are meaningful only for a slot PredAt accepted. None of
+// them panics, whatever the page image holds.
+
+// PredAt returns the predicate (internal node) or key (leaf) of slot i,
+// aliasing page memory. ok is false for an out-of-range or dead slot and for
+// a body DecodeEntry would reject.
+func (p *Page) PredAt(i int) (pred []byte, ok bool) {
+	b := p.body(i)
+	if len(b) < 3 {
+		return nil, false
+	}
+	plen := int(binary.BigEndian.Uint16(b[1:]))
+	want := internalOverhead + plen
+	if p.IsLeaf() {
+		want = leafOverhead + plen
+	}
+	if len(b) != want {
+		return nil, false
+	}
+	return b[3 : 3+plen], true
+}
+
+// ChildAt returns the child pointer of internal-node slot i (the body's
+// last four bytes).
+func (p *Page) ChildAt(i int) PageID {
+	b := p.body(i)
+	if len(b) < internalOverhead {
+		return InvalidPage
+	}
+	return PageID(binary.BigEndian.Uint32(b[len(b)-4:]))
+}
+
+// LeafAt returns the RID and the logical-delete mark of leaf slot i.
+func (p *Page) LeafAt(i int) (rid RID, deleted bool) {
+	b := p.body(i)
+	if len(b) < leafOverhead {
+		return RID{}, false
+	}
+	r := b[len(b)-14:]
+	rid = RID{Page: PageID(binary.BigEndian.Uint32(r)), Slot: binary.BigEndian.Uint16(r[4:])}
+	return rid, b[0]&entryDeleted != 0
+}
+
+// DeleterAt returns the transaction recorded as the logical deleter of leaf
+// slot i (InvalidTxn for a live entry).
+func (p *Page) DeleterAt(i int) TxnID {
+	b := p.body(i)
+	if len(b) < leafOverhead {
+		return InvalidTxn
+	}
+	return TxnID(binary.BigEndian.Uint64(b[len(b)-8:]))
+}
+
 // FindChild returns the slot index of the internal entry pointing at child,
 // or -1 if the page holds no such entry (which tells an ascending insert
 // operation that the parent has split and it must move right; §6).
 func (p *Page) FindChild(child PageID) int {
 	for i := 0; i < p.NumSlots(); i++ {
-		e, err := p.Entry(i)
-		if err != nil {
-			continue
-		}
-		if e.Child == child {
+		if _, ok := p.PredAt(i); ok && p.ChildAt(i) == child {
 			return i
 		}
 	}
@@ -222,11 +275,11 @@ func (p *Page) FindChild(child PageID) int {
 // carry the same RID (the live entries still partition the RID space).
 func (p *Page) FindEntry(rid RID, pred []byte, deleted bool) int {
 	for i := 0; i < p.NumSlots(); i++ {
-		e, err := p.Entry(i)
-		if err != nil {
+		key, ok := p.PredAt(i)
+		if !ok {
 			continue
 		}
-		if e.RID == rid && e.Deleted == deleted && bytes.Equal(e.Pred, pred) {
+		if r, d := p.LeafAt(i); r == rid && d == deleted && bytes.Equal(key, pred) {
 			return i
 		}
 	}
@@ -238,11 +291,20 @@ func (p *Page) FindEntry(rid RID, pred []byte, deleted bool) int {
 // may coexist with a reused RID.
 func (p *Page) FindRID(rid RID) int {
 	for i := 0; i < p.NumSlots(); i++ {
-		e, err := p.Entry(i)
-		if err != nil {
+		if _, ok := p.PredAt(i); !ok {
 			continue
 		}
-		if e.RID == rid {
+		if r, _ := p.LeafAt(i); r == rid {
+			return i
+		}
+	}
+	return -1
+}
+
+// FindBody returns the slot holding exactly the given encoded body, or -1.
+func (p *Page) FindBody(body []byte) int {
+	for i := 0; i < p.NumSlots(); i++ {
+		if b := p.body(i); b != nil && bytes.Equal(b, body) {
 			return i
 		}
 	}

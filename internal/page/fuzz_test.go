@@ -2,6 +2,7 @@ package page
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 )
@@ -19,6 +20,7 @@ func FuzzInsertReplaceDelete(f *testing.F) {
 	f.Add([]byte{0, 0, 255, 0, 0, 1, 2, 0, 0, 2, 0, 0})
 	f.Add([]byte{0, 0, 30, 4, 0, 0, 1, 0, 30, 2, 0, 0, 0, 0, 30})
 	f.Fuzz(func(t *testing.T, data []byte) {
+		orig := data
 		p := New(1, 0)
 		// model mirrors the slot directory: one element per slot, nil for a
 		// dead (killed) slot.
@@ -33,6 +35,9 @@ func FuzzInsertReplaceDelete(f *testing.F) {
 				n = Size // can never fit: must yield ErrTooLarge
 			}
 			body := bytes.Repeat([]byte{fill}, n)
+			if fill%2 == 0 {
+				shapeEntry(body, fill)
+			}
 			switch op {
 			case 0: // insert
 				slot, err := p.InsertBytes(body)
@@ -103,8 +108,38 @@ func FuzzInsertReplaceDelete(f *testing.F) {
 				model[i] = nil
 			}
 			checkPageMatchesModel(t, p, model)
+			checkViewsMatchDecode(t, p)
+			p.SetLevel(1) // the same bodies read as an internal node
+			checkViewsMatchDecode(t, p)
+			p.SetLevel(0)
+		}
+		// Scribble the op stream over the page image: the slot readers
+		// must reject whatever directory and bodies that yields, never
+		// panic on it.
+		if len(orig) > 0 {
+			img := p.Bytes()
+			for i := range img {
+				img[i] ^= orig[i%len(orig)]
+			}
+			touchAllViews(p)
+			checkViewsMatchDecode(t, p)
 		}
 	})
+}
+
+// shapeEntry gives an n-byte fuzz body the flag and length fields of a
+// well-formed entry — a leaf entry when it is long enough, else an internal
+// one — so the slot views see valid, wrong-level and garbage bodies alike.
+func shapeEntry(body []byte, fill byte) {
+	switch n := len(body); {
+	case n >= leafOverhead:
+		binary.BigEndian.PutUint16(body[1:], uint16(n-leafOverhead))
+	case n >= internalOverhead:
+		binary.BigEndian.PutUint16(body[1:], uint16(n-internalOverhead))
+	default:
+		return
+	}
+	body[0] = fill >> 2 & entryDeleted
 }
 
 // checkPageMatchesModel asserts full page/model equivalence and the layout

@@ -302,14 +302,27 @@ func (p *Page) InsertBytes(body []byte) (int, error) {
 
 // SlotBytes returns the body stored at slot i. The slice aliases the page.
 func (p *Page) SlotBytes(i int) ([]byte, error) {
-	if i < 0 || i >= p.NumSlots() {
+	b := p.body(i)
+	if b == nil {
 		return nil, ErrBadSlot
+	}
+	return b, nil
+}
+
+// body returns the body stored at slot i, aliasing the page, or nil for an
+// out-of-range or dead slot. A directory entry or body extent that runs off
+// the page (only a garbage image holds one) also yields nil, so slot
+// readers never panic.
+func (p *Page) body(i int) []byte {
+	if i < 0 || i >= p.NumSlots() || p.slotOff(i+1) > Size {
+		return nil
 	}
 	off, length := p.slot(i)
-	if length == 0 {
-		return nil, ErrBadSlot
+	end := int(off) + int(length)
+	if length == 0 || end > Size {
+		return nil
 	}
-	return p.buf[off : off+length], nil
+	return p.buf[off:end]
 }
 
 // ReplaceBytes overwrites the body at slot i with body. If the new body is

@@ -8,6 +8,7 @@
 package gistdb_test
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -538,4 +539,74 @@ func TestIsolationReplicaCommittedBatches(t *testing.T) {
 			t.Fatalf("replica missing key %d", i)
 		}
 	}
+}
+
+// searchMustBlock runs a ReadCommitted search for key from a fresh
+// transaction with a short deadline and fails the test unless the search
+// blocked on a record lock until that deadline.
+func searchMustBlock(t *testing.T, db *gistdb.DB, idx *gistdb.Index, key int64) {
+	t.Helper()
+	tx, err := db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tx.Abort()
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	hits, err := idx.SearchCtx(ctx, tx, btree.EncodeRange(key, key), gistdb.ReadCommitted)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("search of key %d returned %d hits, err %v, without blocking on the writer's record lock", key, len(hits), err)
+	}
+}
+
+// TestIsolationOwnInsertSurvivesReadCommittedSearch checks that a writer's
+// ReadCommitted search returning its own uncommitted insert keeps the
+// insert's X record lock: another transaction's search must still block.
+func TestIsolationOwnInsertSurvivesReadCommittedSearch(t *testing.T) {
+	db := openMem(t)
+	defer db.Close()
+	idx, err := db.CreateIndex("ints", btree.Ops{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	writer, _ := db.Begin()
+	defer writer.Abort()
+	if _, err := idx.Insert(writer, btree.EncodeKey(5), []byte("dirty")); err != nil {
+		t.Fatal(err)
+	}
+	hits, err := idx.Search(writer, btree.EncodeRange(5, 5), gistdb.ReadCommitted)
+	if err != nil || len(hits) != 1 {
+		t.Fatalf("writer's own search: %d hits, %v; want its insert", len(hits), err)
+	}
+	searchMustBlock(t, db, idx, 5)
+}
+
+// TestIsolationOwnDeleteSurvivesSearch checks that a deleter's search
+// passing over its own logically deleted entry keeps the delete's X record
+// lock: another transaction's search must still block.
+func TestIsolationOwnDeleteSurvivesSearch(t *testing.T) {
+	db := openMem(t)
+	defer db.Close()
+	idx, err := db.CreateIndex("ints", btree.Ops{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed, _ := db.Begin()
+	rid, err := idx.Insert(seed, btree.EncodeKey(5), []byte("r"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := seed.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	deleter, _ := db.Begin()
+	defer deleter.Abort()
+	if err := idx.Delete(deleter, btree.EncodeKey(5), rid); err != nil {
+		t.Fatal(err)
+	}
+	hits, err := idx.Search(deleter, btree.EncodeRange(5, 5), gistdb.RepeatableRead)
+	if err != nil || len(hits) != 0 {
+		t.Fatalf("deleter's own search: %d hits, %v; want none", len(hits), err)
+	}
+	searchMustBlock(t, db, idx, 5)
 }
