@@ -66,3 +66,41 @@ func TestSearchAllocations(t *testing.T) {
 		}
 	}
 }
+
+// TestInsertAllocations pins the heap allocations of a committed
+// single-key insert through the facade (begin, heap insert, index insert,
+// commit), averaged over enough inserts to amortize the occasional split.
+// Phase 4 widens each ancestor entry from the entry itself, so the count
+// does not grow with the leaf's fan-out. The limit is the count measured
+// with instrumentation compiled in (-tags statsoff saves four more); a
+// change that moves it updates it here.
+func TestInsertAllocations(t *testing.T) {
+	db, err := gistdb.Open(gistdb.Options{PoolPages: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	idx, err := db.CreateIndex("allocs", btree.Ops{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := int64(0)
+	insert := func() {
+		tx, _ := db.Begin()
+		if _, err := idx.Insert(tx, btree.EncodeKey(k), []byte("record")); err != nil {
+			t.Fatalf("insert %d: %v", k, err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		k++
+	}
+	for i := 0; i < 2000; i++ {
+		insert() // a multi-level tree, warm pools
+	}
+	got := testing.AllocsPerRun(1000, insert)
+	t.Logf("insert: %.0f allocs/op", got)
+	if max := 58.0; got > max {
+		t.Errorf("insert: %.0f allocs/op, want at most %.0f", got, max)
+	}
+}

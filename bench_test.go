@@ -2,7 +2,7 @@
 // quantitative experiments of EXPERIMENTS.md:
 //
 //	Figure 3 (search)        -> BenchmarkSearchPoint, BenchmarkSearchRange
-//	Figure 4 (insert)        -> BenchmarkInsert*, BenchmarkInsertUnique
+//	Figure 4 (insert)        -> BenchmarkInsert*, BenchmarkInsertUnique, BenchmarkLoad
 //	Figures 1-2 (link proto) -> BenchmarkProtocol* (E8), BenchmarkSplitDetection
 //	Figure 5/§7 (deletion)   -> BenchmarkDeleteAndGC (E12)
 //	Table 1 (recovery)       -> BenchmarkRecovery (E6 cost), BenchmarkWALAppend
@@ -66,6 +66,50 @@ func BenchmarkInsert(b *testing.B) {
 			b.Fatal(err)
 		}
 		tx.Commit()
+	}
+}
+
+// BenchmarkLoad measures committed facade inserts of 400-byte records on
+// top of 10k and 50k existing ones. Heap placement and bounding-predicate
+// expansion cost O(1) in the heap and node size; what still grows between
+// the two sizes is the descent's walk over the entries of wider internal
+// nodes.
+func BenchmarkLoad(b *testing.B) {
+	rec := make([]byte, 400)
+	for _, n := range []int{10_000, 50_000} {
+		b.Run(fmt.Sprintf("existing=%dk", n/1000), func(b *testing.B) {
+			db, err := gistdb.Open(gistdb.Options{PoolPages: 4096})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer db.Close()
+			idx, err := db.CreateIndex("load", btree.Ops{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			insert := func(tx *gistdb.Tx, k int) {
+				if _, err := idx.Insert(tx, btree.EncodeKey(int64(k)), rec); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for k := 0; k < n; k += 500 {
+				tx, _ := db.Begin()
+				for j := k; j < k+500; j++ {
+					insert(tx, j)
+				}
+				if err := tx.Commit(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tx, _ := db.Begin()
+				insert(tx, n+i)
+				if err := tx.Commit(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

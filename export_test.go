@@ -11,3 +11,7 @@ func ReplicaMem(r *ReplicaDB) *storage.MemDisk { return r.mem }
 // ReplicaFlushPool writes the replica pool's dirty pages back to its disk so
 // two replicas' disks can be compared byte-for-byte.
 func ReplicaFlushPool(r *ReplicaDB) error { return r.pool.FlushAll() }
+
+// HeapPending returns the number of heap deletes whose deleter has not
+// finished, for the reservation tests in heap_test.go.
+func HeapPending(db *DB) int { return db.heap.Pending() }

@@ -795,12 +795,14 @@ func pageTrace(l *wal.Log, verr error) string {
 		if len(b) == 0 {
 			return ""
 		}
-		if e, err := page.DecodeEntry(b, true); err == nil {
-			lo, hi := btree.DecodeRange(e.Pred)
+		// A heap record body can parse as an entry too; only a btree
+		// predicate's length (a key or a range) is decoded as one.
+		if e, err := page.DecodeEntry(b, true); err == nil && isBtreePred(e.Pred) {
+			lo, hi := btreeBounds(e.Pred)
 			return fmt.Sprintf(" leaf[%d,%d rid=%v del=%v]", lo, hi, e.RID, e.Deleted)
 		}
-		if e, err := page.DecodeEntry(b, false); err == nil {
-			lo, hi := btree.DecodeRange(e.Pred)
+		if e, err := page.DecodeEntry(b, false); err == nil && isBtreePred(e.Pred) {
+			lo, hi := btreeBounds(e.Pred)
 			return fmt.Sprintf(" int[%d,%d child=%d]", lo, hi, e.Child)
 		}
 		return fmt.Sprintf(" body(%d bytes)", len(b))
@@ -825,6 +827,18 @@ func pageTrace(l *wal.Log, verr error) string {
 	return out
 }
 
+// isBtreePred reports whether b has the length of a btree key or range.
+func isBtreePred(b []byte) bool { return len(b) == 8 || len(b) == 16 }
+
+// btreeBounds decodes a btree key (8 bytes) or range (16 bytes).
+func btreeBounds(b []byte) (lo, hi int64) {
+	if len(b) == 8 {
+		k := btree.DecodeKey(b)
+		return k, k
+	}
+	return btree.DecodeRange(b)
+}
+
 // pageImage dumps a page's recovered in-memory state (temporary diagnostic).
 func pageImage(m *machine, id page.PageID) string {
 	f, err := m.pool.Fetch(id)
@@ -840,8 +854,8 @@ func pageImage(m *machine, id page.PageID) string {
 			out += fmt.Sprintf("\n  slot %d: dead", i)
 			continue
 		}
-		if e, derr := page.DecodeEntry(b, p.IsLeaf()); derr == nil {
-			lo, hi := btree.DecodeRange(e.Pred)
+		if e, derr := page.DecodeEntry(b, p.IsLeaf()); derr == nil && isBtreePred(e.Pred) {
+			lo, hi := btreeBounds(e.Pred)
 			out += fmt.Sprintf("\n  slot %d: [%d,%d] child=%d rid=%v del=%v", i, lo, hi, e.Child, e.RID, e.Deleted)
 		} else {
 			out += fmt.Sprintf("\n  slot %d: %d bytes", i, len(b))

@@ -191,6 +191,10 @@ type Tree struct {
 	anchor  page.PageID   // page holding the root pointer
 	anchorF *buffer.Frame // permanently pinned anchor frame
 
+	// beforeSplitEnd, when set (tests only), runs inside every split SMO
+	// just before its nested top action ends.
+	beforeSplitEnd func()
+
 	// Epoch-based drain (KL80, §7.2): deallocated pages are quarantined
 	// until every operation active at unlink time has finished, so even
 	// an operation that raced past the signaling-lock check can still
@@ -378,6 +382,10 @@ type op struct {
 	id      uint64
 	latches int
 	signals map[page.PageID]bool // signaling locks held by this operation
+
+	// smoHeld releases the ancestor latches an open split SMO keeps until
+	// its nested top action has ended (see splitSMO).
+	smoHeld []func()
 
 	// scratch is the operation's optimistic-path scratch (snapshot page
 	// plus staging slices), taken from snapPool on first use and returned

@@ -22,8 +22,9 @@ import (
 // revisits buffer-resident pages and never performs I/O while holding a
 // child latch.
 type pathEntry struct {
-	pg page.PageID
-	f  *buffer.Frame
+	pg   page.PageID
+	f    *buffer.Frame
+	slot int // the entry the descent followed; a hint, as splits move entries
 }
 
 // Insert adds a (key, RID) pair to the tree, implementing the phases of §6:
@@ -79,9 +80,10 @@ func (o *op) insert(key []byte, rid page.RID) error {
 	}
 
 	// Phase 4: expand ancestors' BPs so the root-to-leaf path covers the
-	// new key, percolating predicates downward as BPs grow.
-	newBP := t.ops.Union(t.computedBP(&leafF.Page), key)
-	if err := o.propagateBP(leafF, newBP, stack); err != nil {
+	// new key, percolating predicates downward as BPs grow. Only the
+	// ancestors' entries widen, each just enough to cover the key (§6):
+	// the parent entry already covers the leaf's other entries.
+	if err := o.propagateBP(leafF, key, stack); err != nil {
 		o.unlatchPage(leafF, latch.X)
 		t.pool.Unpin(leafF, false, 0)
 		return err
@@ -175,8 +177,8 @@ func (o *op) locateLeaf(key []byte) (*buffer.Frame, []pathEntry, error) {
 		leaf := f.Page.IsLeaf()
 
 		if !leaf && t.cfg.OptimisticReads {
-			if child, next, ok := o.descendOptimistic(f, cur, curNSN, key); ok {
-				stack = append(stack, pathEntry{pg: cur, f: f}) // stays pinned
+			if child, slot, next, ok := o.descendOptimistic(f, cur, curNSN, key); ok {
+				stack = append(stack, pathEntry{pg: cur, f: f, slot: slot}) // stays pinned
 				cur, curNSN = child, next
 				continue
 			}
@@ -222,7 +224,7 @@ func (o *op) locateLeaf(key []byte) (*buffer.Frame, []pathEntry, error) {
 		}
 		o.signal(child)
 		o.unlatchPage(f, mode)
-		stack = append(stack, pathEntry{pg: f.ID(), f: f}) // stays pinned
+		stack = append(stack, pathEntry{pg: f.ID(), f: f, slot: bestSlot}) // stays pinned
 		cur, curNSN = child, next
 	}
 }
@@ -321,6 +323,9 @@ func (o *op) ascendToParent(stack []pathEntry, child page.PageID, childLevel uin
 	f = top.f
 	o.latchPage(f, latch.X)
 	ownPin = false
+	if _, ok := f.Page.PredAt(top.slot); ok && f.Page.ChildAt(top.slot) == child {
+		return f, top.slot, false, nil // the entry the descent followed
+	}
 	for {
 		if s := f.Page.FindChild(child); s >= 0 {
 			return f, s, ownPin, nil
@@ -437,19 +442,36 @@ func (o *op) findParentSlowFrom(root, child page.PageID, childLevel uint16) (*bu
 // needed) as one atomic structure modification, then returns the better
 // insertion target for key between the original node and the new sibling,
 // X-latched. The loser is unlatched and unpinned.
+//
+// Every page the SMO changes stays X-latched until its nested top action
+// has ended: f and the sibling by this function, the ancestors splitNode
+// updated through o.smoHeld. Until the NTA's dummy CLR is logged, a crash
+// makes restart undo the SMO page by page — restoring the parent entry's
+// old predicate, deleting the added downlink by content, moving split
+// entries back — which is correct only while no other transaction has
+// changed those pages. Were the parent released sooner, another
+// transaction could split it or tighten its entry in between, and the undo
+// would leave an entry that escapes its parent's BP or a downlink to a
+// freed page.
 func (o *op) splitSMO(f *buffer.Frame, stack []pathEntry, key []byte) (*buffer.Frame, error) {
 	t := o.t
 	if err := o.tx.BeginNTA(); err != nil {
 		return nil, err
 	}
-	newF, err := o.splitNode(f, stack)
+	newF, err := o.splitNode(f, stack, page.InvalidPage, nil)
+	if err == nil && t.beforeSplitEnd != nil {
+		t.beforeSplitEnd()
+	}
+	// On error the NTA's records (if any) will be undone if the
+	// transaction aborts; close the bracket either way.
+	o.tx.EndNTA()
+	for i := len(o.smoHeld) - 1; i >= 0; i-- {
+		o.smoHeld[i]()
+	}
+	o.smoHeld = o.smoHeld[:0]
 	if err != nil {
-		// The NTA's records (if any) will be undone if the
-		// transaction aborts; close the bracket either way.
-		o.tx.EndNTA()
 		return nil, err
 	}
-	o.tx.EndNTA()
 	t.Stats.Splits.Add(1)
 
 	// Choose the cheaper target for this key.
@@ -471,8 +493,13 @@ func (o *op) splitSMO(f *buffer.Frame, stack []pathEntry, key []byte) (*buffer.F
 // append until the downlink is installed), so the child's new NSN exceeds
 // the memorized value and the traverser chases the rightlink.
 //
-// Both f and the returned sibling frame are X-latched and pinned on return.
-func (o *op) splitNode(f *buffer.Frame, stack []pathEntry) (*buffer.Frame, error) {
+// Both f and the returned sibling frame are X-latched and pinned on return;
+// on success the parent (or anchor) latch is left to o.smoHeld. When the
+// caller is itself a split whose parent f is, it passes its child's page
+// and extra, the union of the two entries it will write next to each
+// other: the half of f holding child's entry gets a parent entry covering
+// extra too, so no ancestor needs widening after the caller's writes.
+func (o *op) splitNode(f *buffer.Frame, stack []pathEntry, child page.PageID, extra []byte) (*buffer.Frame, error) {
 	t := o.t
 
 	// Phase 1: resolve and latch the parent (or the anchor for a root
@@ -623,7 +650,14 @@ func (o *op) splitNode(f *buffer.Frame, stack []pathEntry) (*buffer.Frame, error
 
 	// Replicate predicate attachments consistent with the new node's BP
 	// (§4.3 case 1) and the signaling locks (§7.2).
-	newBP := t.computedBP(&newF.Page)
+	newBP, origBP := t.computedBP(&newF.Page), t.computedBP(&f.Page)
+	if extra != nil {
+		if f.Page.FindChild(child) >= 0 {
+			origBP = t.ops.Union(origBP, extra)
+		} else {
+			newBP = t.ops.Union(newBP, extra)
+		}
+	}
 	t.preds.ReplicateOnSplit(f.ID(), newF.ID(), func(p *predicate.Predicate) bool {
 		if newBP == nil {
 			return true
@@ -637,16 +671,15 @@ func (o *op) splitNode(f *buffer.Frame, stack []pathEntry) (*buffer.Frame, error
 
 	// Phase 3: install the downlink (or grow the tree).
 	if isRoot {
-		if err := o.growRoot(f, newF); err != nil {
+		if err := o.growRoot(f, newF, origBP, newBP); err != nil {
 			releaseNew()
 			releaseParent()
 			return nil, err
 		}
-		releaseParent() // drops the anchor latch
+		o.smoHeld = append(o.smoHeld, releaseParent) // the anchor latch
 		return newF, nil
 	}
 
-	origBP := t.computedBP(&f.Page)
 	newEntry := page.Entry{Pred: newBP, Child: newF.ID()}
 	if t.needsSplit(&parentF.Page, newEntry.EncodedLen(false)) {
 		// Recursive parent split (the grandparent is latched inside,
@@ -656,7 +689,7 @@ func (o *op) splitNode(f *buffer.Frame, stack []pathEntry) (*buffer.Frame, error
 		if len(stack) > 0 {
 			upStack = stack[:len(stack)-1]
 		}
-		parentSib, err := o.splitNode(parentF, upStack)
+		parentSib, err := o.splitNode(parentF, upStack, f.ID(), t.ops.Union(origBP, newBP))
 		if err != nil {
 			releaseNew()
 			releaseParent()
@@ -675,20 +708,17 @@ func (o *op) splitNode(f *buffer.Frame, stack []pathEntry) (*buffer.Frame, error
 			return nil, fmt.Errorf("gist: child %d lost during parent split", f.ID())
 		}
 		err = o.writeParentUpdates(target, targetSlot, f.ID(), oldPred, origBP, newEntry)
-		if err == nil {
-			// The recursive split tightened the grandparent's
-			// entry before the sibling entry existed in target;
-			// re-expand the ancestors (inside this same NTA) so
-			// the new entry's predicate stays covered.
-			err = o.expandBPInNTA(target, t.computedBP(&target.Page), upStack)
+		releaseSib := func() {
+			o.unlatchPage(parentSib, latch.X)
+			t.pool.Unpin(parentSib, false, 0)
 		}
-		o.unlatchPage(parentSib, latch.X)
-		t.pool.Unpin(parentSib, false, 0)
-		releaseParent()
 		if err != nil {
+			releaseSib()
 			releaseNew()
+			releaseParent()
 			return nil, err
 		}
+		o.smoHeld = append(o.smoHeld, releaseParent, releaseSib)
 		return newF, nil
 	}
 	if err := o.writeParentUpdates(parentF, slot, f.ID(), oldPred, origBP, newEntry); err != nil {
@@ -696,14 +726,14 @@ func (o *op) splitNode(f *buffer.Frame, stack []pathEntry) (*buffer.Frame, error
 		releaseParent()
 		return nil, err
 	}
-	releaseParent()
+	o.smoHeld = append(o.smoHeld, releaseParent)
 	return newF, nil
 }
 
-// growRoot installs a new root above the just-split pair while the anchor
-// is exclusively latched (root moves; stale traversals compensate via the
-// old root's rightlink).
-func (o *op) growRoot(f, newF *buffer.Frame) error {
+// growRoot installs a new root above the just-split pair, with entries
+// fBP and newBP, while the anchor is exclusively latched (root moves;
+// stale traversals compensate via the old root's rightlink).
+func (o *op) growRoot(f, newF *buffer.Frame, fBP, newBP []byte) error {
 	t := o.t
 	rootF, err := t.pool.NewPage(f.Page.Level() + 1)
 	if err != nil {
@@ -721,8 +751,8 @@ func (o *op) growRoot(f, newF *buffer.Frame) error {
 		bp    []byte
 		child page.PageID
 	}{
-		{t.computedBP(&f.Page), f.ID()},
-		{t.computedBP(&newF.Page), newF.ID()},
+		{fBP, f.ID()},
+		{newBP, newF.ID()},
 	} {
 		e := page.Entry{Pred: pair.bp, Child: pair.child}
 		body := e.Encode(false)
@@ -779,55 +809,6 @@ func applySplit(orig, sibling *page.Page, rec *wal.Record) {
 	_ = leaf
 }
 
-// expandBPInNTA expands ancestors' bounding predicates to cover newBP,
-// writing Parent-Entry-Update records within the caller's open nested top
-// action (unlike propagateBP, which brackets each level in its own NTA).
-func (o *op) expandBPInNTA(childF *buffer.Frame, newBP []byte, stack []pathEntry) error {
-	t := o.t
-	parentF, slot, ownPin, err := o.ascendToParent(stack, childF.ID(), childF.Page.Level())
-	if err != nil {
-		return err
-	}
-	if parentF == nil {
-		return nil
-	}
-	release := func() {
-		o.unlatchPage(parentF, latch.X)
-		if ownPin {
-			t.pool.Unpin(parentF, false, 0)
-		}
-	}
-	oldPred := append([]byte(nil), parentF.Page.MustEntry(slot).Pred...)
-	merged := t.ops.Union(oldPred, newBP)
-	if bytes.Equal(merged, oldPred) {
-		release()
-		return nil
-	}
-	var up []pathEntry
-	if len(stack) > 0 {
-		up = stack[:len(stack)-1]
-	}
-	if err := o.expandBPInNTA(parentF, merged, up); err != nil {
-		release()
-		return err
-	}
-	lsn := o.tx.Log(&wal.Record{
-		Type: wal.RecParentEntryUpdate,
-		Pg:   parentF.ID(),
-		Pg2:  childF.ID(),
-		Body: merged,
-	})
-	if err := parentF.Page.ReplaceEntry(slot, page.Entry{Pred: merged, Child: childF.ID()}); err != nil {
-		release()
-		return err
-	}
-	parentF.Page.SetLSN(lsn)
-	t.pool.MarkDirty(parentF, lsn)
-	t.Stats.BPUpdates.Add(1)
-	release()
-	return nil
-}
-
 // writeParentUpdates logs and applies the two parent changes of a split:
 // Internal-Entry-Update for the original child and Internal-Entry-Add for
 // the new sibling.
@@ -863,11 +844,15 @@ func (o *op) writeParentUpdates(parentF *buffer.Frame, slot int, child page.Page
 }
 
 // propagateBP expands ancestors' bounding predicates so that the path down
-// to childF covers newChildBP, updating top-down on recursion unwind and
+// to childF covers pred — the new key at the leaf, and above it the
+// child's widened entry — updating top-down on recursion unwind and
 // percolating newly consistent predicates from each parent to its child
-// (§4.3 case 2, §6 phase 4). Each single parent-entry update is its own
-// atomic action (§9.1). childF remains latched throughout.
-func (o *op) propagateBP(childF *buffer.Frame, newChildBP []byte, stack []pathEntry) error {
+// (§4.3 case 2, §6 phase 4). Each parent entry covers its child's content
+// (the BP invariant), so Union(entry, pred) covers the child's new content
+// without re-unioning the child's other entries. Each single parent-entry
+// update is its own atomic action (§9.1). childF remains latched
+// throughout.
+func (o *op) propagateBP(childF *buffer.Frame, pred []byte, stack []pathEntry) error {
 	t := o.t
 	parentF, slot, ownPin, err := o.ascendToParent(stack, childF.ID(), childF.Page.Level())
 	if err != nil {
@@ -883,8 +868,8 @@ func (o *op) propagateBP(childF *buffer.Frame, newChildBP []byte, stack []pathEn
 		}
 	}
 
-	oldPred := append([]byte(nil), parentF.Page.MustEntry(slot).Pred...)
-	merged := t.ops.Union(oldPred, newChildBP)
+	oldPred, _ := parentF.Page.PredAt(slot)
+	merged := t.ops.Union(oldPred, pred)
 	if bytes.Equal(merged, oldPred) {
 		// Ancestor already covers the key: expansion stops (§2).
 		release()
@@ -921,9 +906,11 @@ func (o *op) propagateBP(childF *buffer.Frame, newChildBP []byte, stack []pathEn
 	o.tx.EndNTA()
 	t.Stats.BPUpdates.Add(1)
 
-	// Percolate predicates newly consistent with the child's grown BP.
+	// Percolate predicates newly consistent with the child's grown BP,
+	// tested against the widened entry: it covers that BP, so the test
+	// is conservative.
 	t.preds.Percolate(parentF.ID(), childF.ID(), func(p *predicate.Predicate) bool {
-		return p.Kind == predicate.Search && t.ops.Consistent(newChildBP, p.Data)
+		return p.Kind == predicate.Search && t.ops.Consistent(merged, p.Data)
 	})
 
 	t.pool.MarkDirty(parentF, lsn)

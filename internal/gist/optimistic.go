@@ -315,7 +315,7 @@ func (c *Cursor) optInternalVisit(f *buffer.Frame, se stackEntry, snap *page.Pag
 // must redo the visit pessimistically (frame still pinned): the node was
 // missed-split (NSN past the memorized value → the latched bestInChain
 // walk), unexpectedly a leaf, empty, or kept failing validation.
-func (o *op) descendOptimistic(f *buffer.Frame, expect page.PageID, curNSN page.LSN, key []byte) (child page.PageID, next page.LSN, ok bool) {
+func (o *op) descendOptimistic(f *buffer.Frame, expect page.PageID, curNSN page.LSN, key []byte) (child page.PageID, slot int, next page.LSN, ok bool) {
 	t := o.t
 	for attempt := 0; attempt <= t.optRetries; attempt++ {
 		if attempt > 0 {
@@ -328,11 +328,11 @@ func (o *op) descendOptimistic(f *buffer.Frame, expect page.PageID, curNSN page.
 		if snap.IsLeaf() || snap.NSN() > curNSN {
 			// Not contention: protocol compensation (or the leaf target,
 			// which the insert path always latches X). Not a fallback.
-			return 0, 0, false
+			return 0, 0, 0, false
 		}
 		bestSlot := t.minPenaltySlot(snap, key)
 		if bestSlot < 0 {
-			return 0, 0, false // empty internal node: let the latched path report it
+			return 0, 0, 0, false // empty internal node: let the latched path report it
 		}
 		child = snap.ChildAt(bestSlot)
 		next = ctr
@@ -345,8 +345,8 @@ func (o *op) descendOptimistic(f *buffer.Frame, expect page.PageID, curNSN page.
 			continue
 		}
 		o.optReads++
-		return child, next, true
+		return child, bestSlot, next, true
 	}
 	o.optFallbacks++
-	return 0, 0, false
+	return 0, 0, 0, false
 }

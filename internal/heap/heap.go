@@ -28,34 +28,104 @@ var ErrNoRecord = errors.New("heap: no record at RID")
 
 // File is a heap file: an unordered collection of variable-length records
 // on pages drawn from the shared buffer pool.
+//
+// Placement. free lists the pages that may have room, most recently added
+// last; an insert tries the last one first. A page leaves the list when an
+// insert finds it full and comes back when a finished delete may have freed
+// space on it (TxnFinished), so an insert fetches O(1) pages in expectation
+// however large the heap grows.
+//
+// Undo-space reservation. A delete kills its slot in place and turns the
+// record's bytes into garbage, but until the deleter finishes, its rollback
+// — at runtime or as a restart loser — must put the record back into the
+// same slot. So the slot and the bytes stay reserved for the deleter: no
+// other transaction may resurrect the slot, and no other transaction's
+// insert may take the bytes, neither through compaction nor through a dead
+// slot. The deleter itself may reuse them: backward undo removes that reuse
+// before it restores the record. A new slot's directory entry is never
+// returned by undo, so it always comes from unreserved space. Under these
+// rules every undo of a delete finds its slot dead and at least the
+// record's size free (see DESIGN.md), which makes rollback and restart
+// undo infallible. A missed TxnFinished only withholds space from reuse.
 type File struct {
 	pool *buffer.Pool
 
-	mu    sync.Mutex
-	pages []page.PageID // pages owned by this heap, for insert placement
+	mu     sync.Mutex
+	free   []page.PageID
+	inFree map[page.PageID]bool
 
-	// pending holds slots killed by transactions that have not finished
-	// yet. Such a slot must not be resurrected for a new record: until the
-	// deleter's commit is durable its rollback — at runtime or as a restart
-	// loser — restores the old record into the slot, and a reuse in the
-	// meantime would leave two leaf entries claiming one RID. Entries are
-	// cleared by TxnFinished; a missed notification only delays reuse.
-	pending map[page.RID]page.TxnID
+	owner   map[page.RID]page.TxnID            // dead slots whose deleter has not finished
+	held    map[page.PageID]map[page.TxnID]int // reserved body bytes per page and deleter
+	deletes map[page.TxnID][]page.RID          // each unfinished deleter's deletes
 }
 
 // New creates an empty heap file over pool.
 func New(pool *buffer.Pool) *File {
-	return &File{pool: pool, pending: make(map[page.RID]page.TxnID)}
+	return &File{
+		pool:    pool,
+		inFree:  make(map[page.PageID]bool),
+		owner:   make(map[page.RID]page.TxnID),
+		held:    make(map[page.PageID]map[page.TxnID]int),
+		deletes: make(map[page.TxnID][]page.RID),
+	}
 }
 
-// TxnFinished releases the slots whose deletes were pinned by tx; its commit
-// or abort is complete, so they are free for reuse.
+// TxnFinished ends the reservations of tx's deletes: its commit is durable
+// or its abort complete, so the slots and bytes are free for reuse and
+// their pages return to the placement list. It costs O(tx's deletes).
 func (h *File) TxnFinished(id page.TxnID) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	for rid, owner := range h.pending {
-		if owner == id {
-			delete(h.pending, rid)
+	rids, ok := h.deletes[id]
+	if !ok {
+		return
+	}
+	delete(h.deletes, id)
+	for _, rid := range rids {
+		if h.owner[rid] == id {
+			delete(h.owner, rid)
+		}
+		if by := h.held[rid.Page]; by != nil {
+			delete(by, id)
+			if len(by) == 0 {
+				delete(h.held, rid.Page)
+			}
+		}
+		h.pushFree(rid.Page)
+	}
+}
+
+// Pending returns the number of deletes whose deleter has not finished.
+func (h *File) Pending() int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	n := 0
+	for _, rids := range h.deletes {
+		n += len(rids)
+	}
+	return n
+}
+
+// pushFree puts id on top of the placement list unless it is there.
+// Caller holds h.mu.
+func (h *File) pushFree(id page.PageID) {
+	if !h.inFree[id] {
+		h.inFree[id] = true
+		h.free = append(h.free, id)
+	}
+}
+
+// dropFree removes id from the placement list, searching from the top
+// where an insert found it. Caller holds h.mu.
+func (h *File) dropFree(id page.PageID) {
+	if !h.inFree[id] {
+		return
+	}
+	delete(h.inFree, id)
+	for i := len(h.free) - 1; i >= 0; i-- {
+		if h.free[i] == id {
+			h.free = append(h.free[:i], h.free[i+1:]...)
+			return
 		}
 	}
 }
@@ -65,26 +135,6 @@ func (h *File) TxnFinished(id page.TxnID) {
 func (h *File) RegisterUndo(tm *txn.Manager) {
 	tm.RegisterUndo(wal.RecHeapInsert, h.undoInsert)
 	tm.RegisterUndo(wal.RecHeapDelete, h.undoDelete)
-}
-
-// NotePage adds a page to the insert-placement list (used after restart to
-// re-adopt surviving heap pages discovered in the log).
-func (h *File) NotePage(id page.PageID) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for _, p := range h.pages {
-		if p == id {
-			return
-		}
-	}
-	h.pages = append(h.pages, id)
-}
-
-// Pages returns the pages currently used for insert placement.
-func (h *File) Pages() []page.PageID {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return append([]page.PageID(nil), h.pages...)
 }
 
 // Insert stores rec and returns its RID. The insert is logged in tx's
@@ -100,19 +150,29 @@ func (h *File) InsertCtx(ctx context.Context, tx *txn.Txn, rec []byte) (page.RID
 	if len(rec) == 0 {
 		return page.RID{}, errors.New("heap: empty record")
 	}
-	// Try existing pages, newest first (they are most likely to have
-	// room); allocate a fresh page when none fits.
-	h.mu.Lock()
-	candidates := append([]page.PageID(nil), h.pages...)
-	h.mu.Unlock()
-	for i := len(candidates) - 1; i >= 0; i-- {
-		rid, err := h.tryInsert(ctx, tx, candidates[i], rec)
+	if len(rec)+page.SlotSize > page.Size-page.HeaderSize {
+		return page.RID{}, page.ErrTooLarge
+	}
+	// Try the placement list from the top; every miss drops a page, so
+	// the list cannot be walked twice without new space appearing.
+	for {
+		h.mu.Lock()
+		if len(h.free) == 0 {
+			h.mu.Unlock()
+			break
+		}
+		id := h.free[len(h.free)-1]
+		h.mu.Unlock()
+		rid, err := h.tryInsert(ctx, tx, id, rec)
 		if err == nil {
 			return rid, nil
 		}
 		if !errors.Is(err, page.ErrPageFull) {
 			return page.RID{}, err
 		}
+		h.mu.Lock()
+		h.dropFree(id)
+		h.mu.Unlock()
 	}
 	f, err := h.pool.NewPage(0)
 	if err != nil {
@@ -136,42 +196,24 @@ func (h *File) InsertCtx(ctx context.Context, tx *txn.Txn, rec []byte) (page.RID
 	// first and leave this insert with page.ErrPageFull.
 	rid, err := h.tryInsert(ctx, tx, id, rec)
 	h.mu.Lock()
-	h.pages = append(h.pages, id)
+	h.pushFree(id)
 	h.mu.Unlock()
 	return rid, err
 }
 
-// tryInsert attempts the insert on one page.
+// tryInsert attempts the insert on one page, within the space the page's
+// reservations leave to tx; page.ErrPageFull means it does not fit.
 func (h *File) tryInsert(ctx context.Context, tx *txn.Txn, id page.PageID, rec []byte) (page.RID, error) {
 	f, err := h.pool.FetchCtx(ctx, id)
 	if err != nil {
 		return page.RID{}, err
 	}
 	f.Latch.Acquire(latch.X)
-	// A slot with a pending delete may be reused only by the deleter
-	// itself: backward undo then kills the reuse before restoring the old
-	// record, so the order stays reversible.
-	reusable := func(slot int) bool {
-		h.mu.Lock()
-		owner, pend := h.pending[page.RID{Page: id, Slot: uint16(slot)}]
-		h.mu.Unlock()
-		return !pend || owner == tx.ID()
-	}
-	var slot int
-	if dead := f.Page.FindDeadSlot(); dead >= 0 && reusable(dead) && f.Page.FreeSpaceAfterCompaction()+4 >= len(rec) {
-		if err := f.Page.ResurrectSlot(dead, rec); err != nil {
-			f.Latch.Release(latch.X)
-			h.pool.Unpin(f, false, 0)
-			return page.RID{}, err
-		}
-		slot = dead
-	} else {
-		slot, err = f.Page.InsertBytes(rec)
-		if err != nil {
-			f.Latch.Release(latch.X)
-			h.pool.Unpin(f, false, 0)
-			return page.RID{}, err
-		}
+	slot, err := h.place(&f.Page, tx.ID(), rec)
+	if err != nil {
+		f.Latch.Release(latch.X)
+		h.pool.Unpin(f, false, 0)
+		return page.RID{}, err
 	}
 	rid := page.RID{Page: id, Slot: uint16(slot)}
 	lsn := tx.Log(&wal.Record{Type: wal.RecHeapInsert, Pg: id, RID: rid, Body: rec})
@@ -179,6 +221,40 @@ func (h *File) tryInsert(ctx context.Context, tx *txn.Txn, id page.PageID, rec [
 	f.Latch.Release(latch.X)
 	h.pool.Unpin(f, true, lsn)
 	return rid, nil
+}
+
+// place stores rec on the X-latched page p for transaction id and returns
+// its slot. The bytes reserved by other transactions' unfinished deletes
+// stay free: a dead slot takes the body from p.Room() less those bytes,
+// and a new slot additionally takes its directory entry from space no
+// reservation, not even id's own, holds (undo never returns an entry).
+func (h *File) place(p *page.Page, id page.TxnID, rec []byte) (int, error) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	by := h.held[p.ID()]
+	others, all := 0, 0
+	for t, n := range by {
+		all += n
+		if t != id {
+			others += n
+		}
+	}
+	room := p.Room()
+	if room-len(rec) >= others {
+		for i := 0; i < p.NumSlots(); i++ {
+			if !p.SlotDead(i) {
+				continue
+			}
+			if owner, pend := h.owner[page.RID{Page: p.ID(), Slot: uint16(i)}]; pend && owner != id {
+				continue
+			}
+			return i, p.ResurrectSlot(i, rec)
+		}
+	}
+	if room-len(rec)-page.SlotSize < others || room-page.SlotSize < all {
+		return 0, page.ErrPageFull
+	}
+	return p.InsertBytes(rec)
 }
 
 // Read returns a copy of the record at rid.
@@ -234,11 +310,20 @@ func (h *File) DeleteCtx(ctx context.Context, tx *txn.Txn, rid page.RID) error {
 	}
 	lsn := tx.Log(&wal.Record{Type: wal.RecHeapDelete, Pg: rid.Page, RID: rid, Body: old})
 	f.Page.SetLSN(lsn)
+	// Reserve the slot and bytes before the latch drops, so that no
+	// insert can see them free in between.
+	h.mu.Lock()
+	by := h.held[rid.Page]
+	if by == nil {
+		by = make(map[page.TxnID]int)
+		h.held[rid.Page] = by
+	}
+	by[tx.ID()] += len(old)
+	h.owner[rid] = tx.ID()
+	h.deletes[tx.ID()] = append(h.deletes[tx.ID()], rid)
+	h.mu.Unlock()
 	f.Latch.Release(latch.X)
 	h.pool.Unpin(f, true, lsn)
-	h.mu.Lock()
-	h.pending[rid] = tx.ID()
-	h.mu.Unlock()
 	return nil
 }
 
@@ -278,11 +363,49 @@ func (h *File) undoDelete(r *wal.Record, tx *txn.Txn) error {
 			return err
 		}
 	}
+	h.release(tx.ID(), r.RID, len(r.Body))
 	lsn := tx.LogCLR(&wal.Record{Type: wal.RecHeapDelete, Pg: r.RID.Page, RID: r.RID, Body: r.Body}, r.PrevLSN)
 	f.Page.SetLSN(lsn)
 	f.Latch.Release(latch.X)
 	h.pool.Unpin(f, true, lsn)
 	return nil
+}
+
+// release ends the reservation of one delete by id that rollback has just
+// undone. Restart undo finds nothing to release: reservations live in
+// memory only, and a loser's record goes back into space its own delete
+// freed.
+func (h *File) release(id page.TxnID, rid page.RID, n int) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	rids := h.deletes[id]
+	i := len(rids) - 1
+	for i >= 0 && rids[i] != rid {
+		i--
+	}
+	if i < 0 {
+		return
+	}
+	rids = append(rids[:i], rids[i+1:]...)
+	if len(rids) == 0 {
+		delete(h.deletes, id)
+	} else {
+		h.deletes[id] = rids
+	}
+	if by := h.held[rid.Page]; by != nil {
+		if by[id] -= n; by[id] <= 0 {
+			delete(by, id)
+		}
+		if len(by) == 0 {
+			delete(h.held, rid.Page)
+		}
+	}
+	for _, r := range rids {
+		if r == rid {
+			return // an earlier delete of the same slot still holds it
+		}
+	}
+	delete(h.owner, rid)
 }
 
 // Redo applies a heap log record (or heap CLR) to the page during restart

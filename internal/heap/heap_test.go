@@ -147,8 +147,12 @@ func TestInsertSpillsToNewPages(t *testing.T) {
 		}
 		rids = append(rids, rid)
 	}
-	if len(e.heap.Pages()) < 2 {
-		t.Errorf("expected multiple heap pages, got %d", len(e.heap.Pages()))
+	pages := make(map[page.PageID]bool)
+	for _, rid := range rids {
+		pages[rid.Page] = true
+	}
+	if len(pages) < 2 {
+		t.Errorf("expected multiple heap pages, got %d", len(pages))
 	}
 	for i, rid := range rids {
 		got, err := e.heap.Read(rid)
@@ -316,11 +320,222 @@ func TestConcurrentLargeInserts(t *testing.T) {
 	wg.Wait()
 }
 
-func TestNotePageIdempotent(t *testing.T) {
+// mustInsert inserts rec for tx or fails the test.
+func mustInsert(t *testing.T, e *env, tx *txn.Txn, rec []byte) page.RID {
+	t.Helper()
+	rid, err := e.heap.Insert(tx, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rid
+}
+
+// fill commits n records of size bytes each, byte i of record i set to i.
+func fill(t *testing.T, e *env, n, size int) []page.RID {
+	t.Helper()
+	tx, _ := e.tm.Begin()
+	rids := make([]page.RID, n)
+	for i := range rids {
+		rec := bytes.Repeat([]byte{byte(i)}, size)
+		rids[i] = mustInsert(t, e, tx, rec)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	e.heap.TxnFinished(tx.ID())
+	return rids
+}
+
+// TestRollbackDeleteKeepsItsBytes: the bytes a delete frees stay reserved
+// for the deleter until it finishes, so another transaction's inserts
+// cannot compact them away and leave the deleter's rollback without room
+// to restore the record.
+func TestRollbackDeleteKeepsItsBytes(t *testing.T) {
 	e := newEnv(t)
-	e.heap.NotePage(5)
-	e.heap.NotePage(5)
-	if got := e.heap.Pages(); len(got) != 1 || got[0] != 5 {
-		t.Errorf("pages = %v", got)
+	rids := fill(t, e, 20, 400) // 20 x 404 bytes: 72 bytes left on the page
+	if rids[19].Page != rids[0].Page {
+		t.Fatalf("set-up spilled to a second page: %v", rids[19])
+	}
+
+	t1, _ := e.tm.Begin()
+	if err := e.heap.Delete(t1, rids[0]); err != nil {
+		t.Fatal(err)
+	}
+	// A committed delete on the same page puts it back on the placement
+	// list with one record's worth of unreserved space.
+	t3, _ := e.tm.Begin()
+	if err := e.heap.Delete(t3, rids[1]); err != nil {
+		t.Fatal(err)
+	}
+	if err := t3.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	e.heap.TxnFinished(t3.ID())
+
+	t2, _ := e.tm.Begin()
+	for i := 0; i < 3; i++ {
+		rid := mustInsert(t, e, t2, bytes.Repeat([]byte{0xee}, 400))
+		if rid == rids[0] {
+			t.Fatalf("insert %d resurrected the slot of an unfinished delete", i)
+		}
+	}
+	if err := t2.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	e.heap.TxnFinished(t2.ID())
+
+	if err := t1.Abort(); err != nil {
+		t.Fatalf("rollback of the delete: %v", err)
+	}
+	e.heap.TxnFinished(t1.ID())
+	if got, err := e.heap.Read(rids[0]); err != nil || !bytes.Equal(got, bytes.Repeat([]byte{0}, 400)) {
+		t.Fatalf("restored record: %v", err)
+	}
+}
+
+// TestOwnReuseKeepsUndoRoom: the deleter may reuse its own freed bytes,
+// but a new slot's directory entry, which undo never gives back, must come
+// from unreserved space or the rollback of the delete runs out of room.
+func TestOwnReuseKeepsUndoRoom(t *testing.T) {
+	e := newEnv(t)
+	rids := fill(t, e, 8, 1015) // 8 x 1019 bytes fill the page exactly
+	if rids[7].Page != rids[0].Page {
+		t.Fatalf("set-up spilled to a second page: %v", rids[7])
+	}
+	tx, _ := e.tm.Begin()
+	if err := e.heap.Delete(tx, rids[0]); err != nil {
+		t.Fatal(err)
+	}
+	if rid := mustInsert(t, e, tx, []byte{1}); rid != rids[0] {
+		t.Fatalf("deleter's small insert landed at %v, want its own slot %v", rid, rids[0])
+	}
+	mustInsert(t, e, tx, make([]byte, 1010))
+	if err := tx.Abort(); err != nil {
+		t.Fatalf("rollback: %v", err)
+	}
+	for i, rid := range rids {
+		if got, err := e.heap.Read(rid); err != nil || !bytes.Equal(got, bytes.Repeat([]byte{byte(i)}, 1015)) {
+			t.Fatalf("record %d after rollback: %v", i, err)
+		}
+	}
+}
+
+// TestTxnFinishedReleasesReservations: once the deleters finish nothing is
+// pending, and another transaction's insert reuses the freed slot.
+func TestTxnFinishedReleasesReservations(t *testing.T) {
+	e := newEnv(t)
+	rids := fill(t, e, 10, 100)
+	for _, rid := range rids {
+		tx, _ := e.tm.Begin()
+		if err := e.heap.Delete(tx, rid); err != nil {
+			t.Fatal(err)
+		}
+		if e.heap.Pending() != 1 {
+			t.Fatalf("pending = %d during the delete, want 1", e.heap.Pending())
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		e.heap.TxnFinished(tx.ID())
+	}
+	if n := e.heap.Pending(); n != 0 {
+		t.Fatalf("pending = %d after every deleter finished", n)
+	}
+	tx, _ := e.tm.Begin()
+	reused := mustInsert(t, e, tx, []byte("reuse"))
+	if reused != rids[0] {
+		t.Errorf("insert landed at %v, want the freed slot %v", reused, rids[0])
+	}
+	tx.Commit()
+
+	// A rolled-back delete releases its reservation on the spot.
+	tx, _ = e.tm.Begin()
+	if err := e.heap.Delete(tx, reused); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if n := e.heap.Pending(); n != 0 {
+		t.Errorf("pending = %d after the delete was rolled back", n)
+	}
+}
+
+// TestPlacementFetchesO1: an insert that finds the newest page full must
+// not walk the older full pages before it allocates.
+func TestPlacementFetchesO1(t *testing.T) {
+	e := newEnv(t)
+	tx, _ := e.tm.Begin()
+	rec := make([]byte, page.Size*5/8) // one record fills a page
+	const pages = 2000
+	for i := 0; i < pages; i++ {
+		mustInsert(t, e, tx, rec)
+	}
+	hits, misses, _ := e.pool.Stats()
+	before := hits + misses
+	rid := mustInsert(t, e, tx, rec)
+	hits, misses, _ = e.pool.Stats()
+	if fetched := hits + misses - before; fetched > 2 {
+		t.Errorf("insert fetched %d pages, want at most 2", fetched)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := e.heap.Read(rid); err != nil || len(got) != len(rec) {
+		t.Errorf("last record: %v", err)
+	}
+}
+
+// TestConcurrentDeleteInsertAbort: deleters that roll back race inserters
+// on shared pages; every rollback must find room to restore its record.
+func TestConcurrentDeleteInsertAbort(t *testing.T) {
+	e := newEnv(t)
+	rids := fill(t, e, 80, 300)
+	const workers = 8
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < len(rids); i += workers {
+				del, err := e.tm.Begin()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if err := e.heap.Delete(del, rids[i]); err != nil {
+					t.Error(err)
+					return
+				}
+				ins, err := e.tm.Begin()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for j := 0; j < 3; j++ {
+					if _, err := e.heap.Insert(ins, make([]byte, 150+50*j)); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				if err := ins.Commit(); err != nil {
+					t.Error(err)
+				}
+				e.heap.TxnFinished(ins.ID())
+				if err := del.Abort(); err != nil {
+					t.Errorf("rollback of delete %v: %v", rids[i], err)
+				}
+				e.heap.TxnFinished(del.ID())
+			}
+		}(w)
+	}
+	wg.Wait()
+	for i, rid := range rids {
+		if got, err := e.heap.Read(rid); err != nil || !bytes.Equal(got, bytes.Repeat([]byte{byte(i)}, 300)) {
+			t.Errorf("record %d: %v", i, err)
+		}
+	}
+	if n := e.heap.Pending(); n != 0 {
+		t.Errorf("pending = %d after all transactions finished", n)
 	}
 }

@@ -110,6 +110,11 @@ const (
 
 const slotSize = 4
 
+// SlotSize is the bytes one slot-directory entry takes. A new slot costs
+// its body plus SlotSize; the directory never shrinks, so a dead slot keeps
+// its entry and can be resurrected for the body alone.
+const SlotSize = slotSize
+
 // Errors returned by page operations.
 var (
 	// ErrPageFull is returned when an entry does not fit even after
@@ -269,6 +274,14 @@ func (p *Page) FreeSpace() int {
 // new entry body plus slot if the page were compacted first.
 func (p *Page) FreeSpaceAfterCompaction() int {
 	return p.FreeSpace() + int(p.u16(offGarbage))
+}
+
+// Room returns the bytes a body can take in an existing dead slot once the
+// page is compacted: the gap between the slot directory and the bodies plus
+// the garbage. Unlike FreeSpaceAfterCompaction it is exact and reserves no
+// slot entry; a new slot fits a body of at most Room() - SlotSize bytes.
+func (p *Page) Room() int {
+	return int(p.u16(offFreeEnd)) - HeaderSize - p.NumSlots()*slotSize + int(p.u16(offGarbage))
 }
 
 // InsertBytes adds an entry body to the page and returns its slot index.

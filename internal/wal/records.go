@@ -181,9 +181,10 @@ func putByteSlices(b *bytes.Buffer, ps [][]byte) {
 }
 
 type reader struct {
-	b   []byte
-	off int
-	err error
+	b     []byte
+	off   int
+	err   error
+	alias bool // byte fields are subslices of b, not copies
 }
 
 func (r *reader) u8() uint8 {
@@ -232,8 +233,13 @@ func (r *reader) bytes() []byte {
 		r.fail()
 		return nil
 	}
-	v := make([]byte, n)
-	copy(v, r.b[r.off:r.off+n])
+	var v []byte
+	if r.alias {
+		v = r.b[r.off : r.off+n : r.off+n]
+	} else {
+		v = make([]byte, n)
+		copy(v, r.b[r.off:r.off+n])
+	}
 	r.off += n
 	return v
 }
@@ -356,9 +362,17 @@ func (r *Record) Encode() []byte {
 	return b.Bytes()
 }
 
-// DecodeRecord parses an encoded record.
+// DecodeRecord parses an encoded record. The record shares no memory with
+// b.
 func DecodeRecord(b []byte) (*Record, error) {
-	rd := &reader{b: b}
+	return decodeRecord(b, false)
+}
+
+// decodeRecord is DecodeRecord; with alias set the record's byte fields are
+// capacity-capped subslices of b instead of copies, so b must stay
+// unmodified for the record's lifetime.
+func decodeRecord(b []byte, alias bool) (*Record, error) {
+	rd := &reader{b: b, alias: alias}
 	r := &Record{}
 	r.Type = RecType(rd.u8())
 	r.LSN = page.LSN(rd.u64())

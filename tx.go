@@ -36,12 +36,13 @@ func (tx *Tx) ID() uint64 { return uint64(tx.inner.ID()) }
 // its locks and predicates. A transaction that wrote nothing commits
 // without a log record or a log force.
 func (tx *Tx) Commit() error {
-	done := tx.traceCommit()
+	wrote := tx.inner.Wrote()
+	done := tx.traceCommit(wrote)
 	if err := tx.inner.Commit(); err != nil {
 		return err
 	}
 	done()
-	tx.finishTrees()
+	tx.finish(wrote)
 	return nil
 }
 
@@ -52,8 +53,8 @@ func (tx *Tx) Commit() error {
 // its locks until its own commit is durable, so all they read is already
 // on disk), and skipping them keeps the search hot path free of the extra
 // clock reads.
-func (tx *Tx) traceCommit() func() {
-	if !stats.Enabled || !tx.inner.Wrote() {
+func (tx *Tx) traceCommit(wrote bool) func() {
+	if !stats.Enabled || !wrote {
 		return func() {}
 	}
 	start := time.Now().UnixNano()
@@ -86,13 +87,14 @@ func (tx *Tx) CommitCtx(ctx context.Context) error {
 	// the background durability point — releasing it early would let dead
 	// RIDs be reused while the deleting transaction can still become a
 	// restart loser.
-	tx.inner.SetDurableHook(tx.finishTrees)
-	done := tx.traceCommit()
+	wrote := tx.inner.Wrote()
+	tx.inner.SetDurableHook(func() { tx.finish(wrote) })
+	done := tx.traceCommit(wrote)
 	if err := tx.inner.CommitCtx(ctx); err != nil {
 		return err
 	}
 	done()
-	tx.finishTrees()
+	tx.finish(wrote)
 	return nil
 }
 
@@ -102,11 +104,17 @@ func (tx *Tx) Abort() error {
 	if err := tx.inner.Abort(); err != nil {
 		return err
 	}
-	tx.finishTrees()
+	tx.finish(tx.inner.Wrote())
 	return nil
 }
 
-func (tx *Tx) finishTrees() {
+// finish ends the transaction's per-tree bookkeeping and, if it wrote,
+// the heap's reservations for its deletes: a transaction that logged
+// nothing deleted nothing, so the read path skips the heap.
+func (tx *Tx) finish(wrote bool) {
+	if wrote {
+		tx.db.heap.TxnFinished(tx.inner.ID())
+	}
 	tx.db.mu.Lock()
 	defer tx.db.mu.Unlock()
 	for _, ix := range tx.db.indexes {
