@@ -54,9 +54,9 @@ func TestSearchAllocations(t *testing.T) {
 		fn   func()
 		max  float64
 	}{
-		{"point/ReadCommitted", search(777, 777, gistdb.ReadCommitted, 1), 25},
+		{"point/ReadCommitted", search(777, 777, gistdb.ReadCommitted, 1), 24},
 		{"point/RepeatableRead", search(777, 777, gistdb.RepeatableRead, 1), 37},
-		{"range100/ReadCommitted", search(500, 599, gistdb.ReadCommitted, 100), 151},
+		{"range100/ReadCommitted", search(500, 599, gistdb.ReadCommitted, 100), 150},
 	} {
 		c.fn() // warm the pools
 		got := testing.AllocsPerRun(100, c.fn)
@@ -102,5 +102,50 @@ func TestInsertAllocations(t *testing.T) {
 	t.Logf("insert: %.0f allocs/op", got)
 	if max := 58.0; got > max {
 		t.Errorf("insert: %.0f allocs/op, want at most %.0f", got, max)
+	}
+}
+
+// TestDeleteAllocations pins the heap allocations of a committed
+// single-key delete through the facade (begin, index delete — the
+// equality-search descent plus the leaf mark — heap delete, commit). The
+// limit is the count measured with instrumentation compiled in; a change
+// that moves it updates it here.
+func TestDeleteAllocations(t *testing.T) {
+	db, err := gistdb.Open(gistdb.Options{PoolPages: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	idx, err := db.CreateIndex("allocs", btree.Ops{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 3000
+	rids := make([]gistdb.RID, n)
+	tx, _ := db.Begin()
+	for i := range rids {
+		if rids[i], err = idx.Insert(tx, btree.EncodeKey(int64(i)), []byte("record")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	k := 0
+	del := func() {
+		tx, _ := db.Begin()
+		if err := idx.Delete(tx, btree.EncodeKey(int64(k)), rids[k]); err != nil {
+			t.Fatalf("delete %d: %v", k, err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		k++
+	}
+	del() // warm the pools
+	got := testing.AllocsPerRun(1000, del)
+	t.Logf("delete: %.0f allocs/op", got)
+	if max := 40.0; got > max {
+		t.Errorf("delete: %.0f allocs/op, want at most %.0f", got, max)
 	}
 }

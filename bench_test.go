@@ -486,94 +486,76 @@ func BenchmarkStringKeys(b *testing.B) {
 	})
 }
 
-// optModes drives the optimistic-vs-pessimistic sub-benchmarks of the
-// read-scaling suite (E19).
-var optModes = []struct {
-	name string
-	mode gistdb.OptimisticMode
-}{
-	{"Optimistic", gistdb.OptimisticOn},
-	{"Pessimistic", gistdb.OptimisticOff},
-}
-
 // BenchmarkSearchParallel measures concurrent range searches over a static
-// tree — the read-heavy serving workload the optimistic path targets. Run
+// tree — the read-heavy serving workload latch-free node visits target. Run
 // with -cpu 1,4,16 to see the latch-handoff wall move (E19).
 func BenchmarkSearchParallel(b *testing.B) {
-	for _, m := range optModes {
-		b.Run(m.name, func(b *testing.B) {
-			db, idx := benchDB(b, 10000, gistdb.Options{PoolPages: 4096, OptimisticReads: m.mode})
-			defer db.Close()
-			var ctr atomic.Int64
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				rng := rand.New(rand.NewSource(ctr.Add(1)))
-				for pb.Next() {
-					lo := int64(rng.Intn(10000 - 20))
-					tx, err := db.Begin()
-					if err != nil {
-						b.Error(err)
-						return
-					}
-					rs, err := idx.Search(tx, btree.EncodeRange(lo, lo+19), gistdb.ReadCommitted)
-					if err != nil {
-						b.Error(err)
-						tx.Abort()
-						return
-					}
-					if len(rs) != 20 {
-						b.Errorf("search returned %d results, want 20", len(rs))
-					}
-					tx.Commit()
-				}
-			})
-		})
-	}
+	db, idx := benchDB(b, 10000, gistdb.Options{PoolPages: 4096})
+	defer db.Close()
+	var ctr atomic.Int64
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		rng := rand.New(rand.NewSource(ctr.Add(1)))
+		for pb.Next() {
+			lo := int64(rng.Intn(10000 - 20))
+			tx, err := db.Begin()
+			if err != nil {
+				b.Error(err)
+				return
+			}
+			rs, err := idx.Search(tx, btree.EncodeRange(lo, lo+19), gistdb.ReadCommitted)
+			if err != nil {
+				b.Error(err)
+				tx.Abort()
+				return
+			}
+			if len(rs) != 20 {
+				b.Errorf("search returned %d results, want 20", len(rs))
+			}
+			tx.Commit()
+		}
+	})
 }
 
 // BenchmarkCursorScanParallel measures concurrent incremental scans (open,
 // drain ~100 entries, close) — the cursor flavor of the read-scaling suite.
 func BenchmarkCursorScanParallel(b *testing.B) {
-	for _, m := range optModes {
-		b.Run(m.name, func(b *testing.B) {
-			db, idx := benchDB(b, 10000, gistdb.Options{PoolPages: 4096, OptimisticReads: m.mode})
-			defer db.Close()
-			var ctr atomic.Int64
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				rng := rand.New(rand.NewSource(ctr.Add(1)))
-				for pb.Next() {
-					lo := int64(rng.Intn(10000 - 100))
-					tx, err := db.Begin()
-					if err != nil {
-						b.Error(err)
-						return
-					}
-					c, err := idx.OpenCursor(tx, btree.EncodeRange(lo, lo+99), gistdb.ReadCommitted)
-					if err != nil {
-						b.Error(err)
-						tx.Abort()
-						return
-					}
-					n := 0
-					for {
-						_, ok, err := c.Next()
-						if err != nil {
-							b.Error(err)
-							break
-						}
-						if !ok {
-							break
-						}
-						n++
-					}
-					c.Close()
-					if n != 100 {
-						b.Errorf("cursor drained %d entries, want 100", n)
-					}
-					tx.Commit()
+	db, idx := benchDB(b, 10000, gistdb.Options{PoolPages: 4096})
+	defer db.Close()
+	var ctr atomic.Int64
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		rng := rand.New(rand.NewSource(ctr.Add(1)))
+		for pb.Next() {
+			lo := int64(rng.Intn(10000 - 100))
+			tx, err := db.Begin()
+			if err != nil {
+				b.Error(err)
+				return
+			}
+			c, err := idx.OpenCursor(tx, btree.EncodeRange(lo, lo+99), gistdb.ReadCommitted)
+			if err != nil {
+				b.Error(err)
+				tx.Abort()
+				return
+			}
+			n := 0
+			for {
+				_, ok, err := c.Next()
+				if err != nil {
+					b.Error(err)
+					break
 				}
-			})
-		})
-	}
+				if !ok {
+					break
+				}
+				n++
+			}
+			c.Close()
+			if n != 100 {
+				b.Errorf("cursor drained %d entries, want 100", n)
+			}
+			tx.Commit()
+		}
+	})
 }

@@ -584,11 +584,9 @@ func isCancelErr(err error) bool {
 
 // readscaleCell is one cell of the read-scaling soak (E19): th reader
 // goroutines running range searches and cursor scans over a preloaded tree
-// for -dur, against a light background inserter, with the optimistic read
-// path on or off. The latch.* columns are deltas of the process-global
-// latch registry measured around the cell.
+// for -dur, against a light background inserter. The latch.* columns are
+// deltas of the process-global latch registry measured around the cell.
 type readscaleCell struct {
-	Optimistic   bool    `json:"optimistic"`
 	Threads      int     `json:"threads"`
 	Ops          int64   `json:"ops"`
 	OpsPerSec    float64 `json:"ops_per_sec"`
@@ -600,45 +598,33 @@ type readscaleCell struct {
 }
 
 func expReadscale() {
-	var cells []readscaleCell
-	for _, optimistic := range []bool{true, false} {
-		cells = append(cells, readscaleSoak(optimistic)...)
-	}
+	cells := readscaleSoak()
 
 	if *jsonFlag {
 		out, err := json.MarshalIndent(map[string]any{"cells": cells}, "", "  ")
 		must(err)
 		fmt.Println(string(out))
 	} else {
-		fmt.Printf("%-12s %8s %10s %12s %12s %12s %12s %12s %12s\n",
-			"mode", "threads", "ops", "ops/sec", "opt_reads", "restarts", "fallbacks", "s_acq", "x_acq")
+		fmt.Printf("%8s %10s %12s %12s %12s %12s %12s %12s\n",
+			"threads", "ops", "ops/sec", "opt_reads", "restarts", "fallbacks", "s_acq", "x_acq")
 		for _, c := range cells {
-			mode := "pessimistic"
-			if c.Optimistic {
-				mode = "optimistic"
-			}
-			fmt.Printf("%-12s %8d %10d %12.0f %12d %12d %12d %12d %12d\n",
-				mode, c.Threads, c.Ops, c.OpsPerSec,
+			fmt.Printf("%8d %10d %12.0f %12d %12d %12d %12d %12d\n",
+				c.Threads, c.Ops, c.OpsPerSec,
 				c.OptReads, c.OptRestarts, c.OptFallbacks, c.SAcquires, c.XAcquires)
 		}
 	}
 
-	// Acceptance: the optimistic cells must actually exercise the
-	// latch-free path (opt_reads > 0) with the fallback ladder a rare
-	// event, and the pessimistic cells must never touch it.
+	// Acceptance: every cell must actually exercise the latch-free node
+	// views (opt_reads > 0), with the shared-latch fallback a rare event.
 	var bad []string
 	for _, c := range cells {
-		if c.Optimistic {
-			if c.OptReads == 0 {
-				bad = append(bad, fmt.Sprintf("optimistic cell threads=%d performed no optimistic reads", c.Threads))
-			}
-			if limit := max64(100, c.OptReads/20); c.OptFallbacks > limit {
-				bad = append(bad, fmt.Sprintf(
-					"optimistic cell threads=%d fell back %d times (opt_reads=%d, limit %d)",
-					c.Threads, c.OptFallbacks, c.OptReads, limit))
-			}
-		} else if c.OptReads != 0 {
-			bad = append(bad, fmt.Sprintf("pessimistic cell threads=%d counted %d optimistic reads", c.Threads, c.OptReads))
+		if c.OptReads == 0 {
+			bad = append(bad, fmt.Sprintf("cell threads=%d performed no optimistic reads", c.Threads))
+		}
+		if limit := max64(100, c.OptReads/20); c.OptFallbacks > limit {
+			bad = append(bad, fmt.Sprintf(
+				"cell threads=%d fell back %d times (opt_reads=%d, limit %d)",
+				c.Threads, c.OptFallbacks, c.OptReads, limit))
 		}
 	}
 	if len(bad) > 0 {
@@ -647,7 +633,7 @@ func expReadscale() {
 		os.Exit(1)
 	}
 	if !*jsonFlag {
-		fmt.Println("RESULT: optimistic read path carried the load with rare pessimistic fallbacks")
+		fmt.Println("RESULT: latch-free node views carried the load with rare shared-latch fallbacks")
 	}
 }
 
@@ -658,14 +644,10 @@ func max64(a, b int64) int64 {
 	return b
 }
 
-// readscaleSoak runs one mode's cells across the -threads counts on a
-// single preloaded database.
-func readscaleSoak(optimistic bool) []readscaleCell {
-	mode := gistdb.OptimisticOff
-	if optimistic {
-		mode = gistdb.OptimisticOn
-	}
-	db, err := gistdb.Open(gistdb.Options{PoolPages: 4096, OptimisticReads: mode, SlowOpThreshold: soakSlowOpThreshold})
+// readscaleSoak runs the cells across the -threads counts on a single
+// preloaded database.
+func readscaleSoak() []readscaleCell {
+	db, err := gistdb.Open(gistdb.Options{PoolPages: 4096, SlowOpThreshold: soakSlowOpThreshold})
 	must(err)
 	defer db.Close()
 	idx, err := db.CreateIndex("readscale", btree.Ops{})
@@ -770,7 +752,6 @@ func readscaleSoak(optimistic bool) []readscaleCell {
 		m := db.Metrics()
 		d := func(name string) int64 { return m[name] - before[name] }
 		cells = append(cells, readscaleCell{
-			Optimistic:   optimistic,
 			Threads:      th,
 			Ops:          ops.Load(),
 			OpsPerSec:    float64(ops.Load()) / durFlag.Seconds(),

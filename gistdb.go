@@ -110,20 +110,6 @@ const (
 	CancelAbort
 )
 
-// OptimisticMode gates the version-validated latch-free read path. The
-// zero value is "on" so existing Options literals get the fast path.
-type OptimisticMode int
-
-const (
-	// OptimisticOn (the default): search descents and cursor scans visit
-	// nodes by snapshotting them under seqlock version validation,
-	// falling back to shared latches per node after OptimisticRetries
-	// consecutive failed validations.
-	OptimisticOn OptimisticMode = iota
-	// OptimisticOff forces the classic shared latch on every read visit.
-	OptimisticOff
-)
-
 // Options configures Open.
 type Options struct {
 	// Dir is the directory for the page file and WAL; empty means a
@@ -137,13 +123,6 @@ type Options struct {
 	MaxEntries int
 	// ParentLSNOpt enables the §10.1 counter-read optimization.
 	ParentLSNOpt bool
-	// OptimisticReads selects the read path's latching discipline
-	// (default OptimisticOn: latch-free version-validated visits).
-	OptimisticReads OptimisticMode
-	// OptimisticRetries is how many consecutive failed validations a
-	// node visit tolerates before falling back to the shared latch
-	// (0 = default 3).
-	OptimisticRetries int
 	// IOLatency adds simulated latency to every page read/write,
 	// making I/O cost visible to the concurrency experiments.
 	IOLatency time.Duration
@@ -171,15 +150,15 @@ type Options struct {
 
 // DB is an open database.
 type DB struct {
-	opts   Options
-	disk   storage.Manager
-	mem    *storage.MemDisk // non-nil when in-memory (for crash simulation)
-	log    *wal.Log
-	pool   *buffer.Pool
-	locks  *lock.Manager
-	preds  *predicate.Manager
-	tm     *txn.Manager
-	heap   *heap.File
+	opts     Options
+	disk     storage.Manager
+	mem      *storage.MemDisk // non-nil when in-memory (for crash simulation)
+	log      *wal.Log
+	pool     *buffer.Pool
+	locks    *lock.Manager
+	preds    *predicate.Manager
+	tm       *txn.Manager
+	heap     *heap.File
 	maint    *maintenance.Manager // nil unless Options.Maintenance was set
 	recReg   *stats.Registry      // restart metrics; nil if this open ran no recovery
 	recorder *stats.Recorder      // always-on op flight recorder
@@ -507,12 +486,10 @@ func (db *DB) CreateIndex(name string, ops Ops) (*Index, error) {
 // OpenIndex from the database options.
 func (db *DB) treeConfig(ops Ops) gist.Config {
 	return gist.Config{
-		Ops:               ops,
-		MaxEntries:        db.opts.MaxEntries,
-		ParentLSNOpt:      db.opts.ParentLSNOpt,
-		OptimisticReads:   db.opts.OptimisticReads == OptimisticOn,
-		OptimisticRetries: db.opts.OptimisticRetries,
-		Recorder:          db.recorder,
+		Ops:          ops,
+		MaxEntries:   db.opts.MaxEntries,
+		ParentLSNOpt: db.opts.ParentLSNOpt,
+		Recorder:     db.recorder,
 	}
 }
 

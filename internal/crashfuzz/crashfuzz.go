@@ -217,9 +217,9 @@ type model struct {
 // error is an invariant, oracle, or model violation (or a harness failure).
 func Run(cfg Config) (*Result, error) {
 	res := &Result{Seed: cfg.Seed, Budget: cfg.Budget, RecoveryBudget: cfg.RecoveryBudget}
-	// Optimistic reads on: the fuzz workload's concurrent searches run the
-	// version-validated path against splits, GC, and crash-restart cycles.
-	tcfg := gist.Config{MaxEntries: maxEntries, Ops: btree.Ops{}, OptimisticReads: true}
+	// The fuzz workload's concurrent searches run the version-validated
+	// node visits against splits, GC, and crash-restart cycles.
+	tcfg := gist.Config{MaxEntries: maxEntries, Ops: btree.Ops{}}
 
 	cp := storage.NewCrashPoint()
 	m, err := openMachine(cfg.Dir, cp, workloadPool)

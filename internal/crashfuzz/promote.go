@@ -85,7 +85,7 @@ func promoteRepro(cfg Config) string {
 // failure).
 func RunPromote(cfg Config) (*Result, error) {
 	res := &Result{Seed: cfg.Seed, Budget: cfg.Budget}
-	tcfg := gist.Config{MaxEntries: maxEntries, Ops: btree.Ops{}, OptimisticReads: true}
+	tcfg := gist.Config{MaxEntries: maxEntries, Ops: btree.Ops{}}
 
 	cp := storage.NewCrashPoint()
 	m, err := openMachine(cfg.Dir, cp, workloadPool)

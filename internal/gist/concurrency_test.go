@@ -1,6 +1,7 @@
 package gist_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -10,6 +11,7 @@ import (
 
 	"repro/internal/btree"
 	"repro/internal/gist"
+	"repro/internal/latch"
 	"repro/internal/lock"
 	"repro/internal/page"
 )
@@ -470,6 +472,121 @@ func TestNodeDeletionBlockedBySignalingLock(t *testing.T) {
 	defer tx2.Commit()
 	if got := e.search(tx2, 0, 20); len(got) != 6 {
 		t.Errorf("remaining keys = %v", keysOf(got))
+	}
+}
+
+// TestNodeDeleteNeverWaitsHoldingNodeLock pins the latch/lock order of
+// node deletion. A visitor that holds the parent's shared latch may wait
+// in signal for its S signaling lock on a child, so a deleter must not
+// wait for the parent's latch while it holds the child's X node lock:
+// here a GC pass that emptied a leaf parks on the parent latch the test
+// holds, and another transaction's signaling lock on that leaf must still
+// be granted at once.
+func TestNodeDeleteNeverWaitsHoldingNodeLock(t *testing.T) {
+	e := newEnv(t, gist.Config{MaxEntries: 8})
+	for i := 0; i < 20; i++ {
+		e.put(int64(i))
+	}
+	rep := e.checkTree()
+	if rep.Height != 2 || rep.Leaves < 3 {
+		t.Fatalf("setup: height %d with %d leaves, want 2 levels and several leaves", rep.Height, rep.Leaves)
+	}
+	parent, leaf := rep.Root, rep.LeafIDs[0]
+
+	// Delete every entry of the leaf and commit, so GC empties it.
+	lf, err := e.pool.Fetch(leaf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys [][]byte
+	var rids []page.RID
+	for i := 0; i < lf.Page.NumSlots(); i++ {
+		if key, ok := lf.Page.PredAt(i); ok {
+			rid, _ := lf.Page.LeafAt(i)
+			keys = append(keys, append([]byte(nil), key...))
+			rids = append(rids, rid)
+		}
+	}
+	e.pool.Unpin(lf, false, 0)
+	tx := e.begin()
+	for i := range keys {
+		if err := e.tree.Delete(tx, keys[i], rids[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	e.tree.TxnFinished(tx.ID())
+
+	// A visitor's shared latch on the parent.
+	pf, err := e.pool.Fetch(parent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pf.Latch.Acquire(latch.S)
+
+	gcDone := make(chan error, 1)
+	go func() {
+		gcTx, err := e.tm.Begin()
+		if err != nil {
+			gcDone <- err
+			return
+		}
+		err = e.tree.GCLeafRefs(gcTx, []gist.LeafRef{{Leaf: leaf, Parent: parent}})
+		gcTx.Commit()
+		e.tree.TxnFinished(gcTx.ID())
+		gcDone <- err
+	}()
+
+	// Wait until GC parks on the parent latch: a pending writer makes
+	// new shared acquisitions fail.
+	for deadline := time.Now().Add(2 * time.Second); ; {
+		if !pf.Latch.TryAcquire(latch.S) {
+			break
+		}
+		pf.Latch.Release(latch.S)
+		if time.Now().After(deadline) {
+			t.Fatal("GC never waited for the parent latch")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	// The visitor now signals the leaf.
+	holder := page.TxnID(999999)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	lockErr := e.locks.LockCtx(ctx, holder, lock.ForNode(leaf), lock.S)
+	cancel()
+	pf.Latch.Release(latch.S)
+	e.pool.Unpin(pf, false, 0)
+	select {
+	case err := <-gcDone:
+		if err != nil {
+			t.Fatalf("gc: %v", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("GC never finished after the parent latch was released")
+	}
+	if lockErr != nil {
+		t.Fatalf("signaling lock on the leaf waited for a deleter parked on the parent latch: %v", lockErr)
+	}
+	if n := e.tree.Stats.NodeDeletes.Load(); n != 0 {
+		t.Fatalf("leaf deleted while another transaction signaled it (deletes=%d)", n)
+	}
+
+	// Once the signal is gone a later pass unlinks the leaf.
+	e.locks.ReleaseAll(holder)
+	gcTx := e.begin()
+	if err := e.tree.GCLeafRefs(gcTx, []gist.LeafRef{{Leaf: leaf, Parent: parent}}); err != nil {
+		t.Fatal(err)
+	}
+	gcTx.Commit()
+	e.tree.TxnFinished(gcTx.ID())
+	if n := e.tree.Stats.NodeDeletes.Load(); n != 1 {
+		t.Errorf("node deletes = %d after the signal was released, want 1", n)
+	}
+	if got := e.checkTree(); got.Entries != 20-len(keys) {
+		t.Errorf("entries = %d, want %d", got.Entries, 20-len(keys))
 	}
 }
 

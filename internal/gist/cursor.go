@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/latch"
 	"repro/internal/page"
 	"repro/internal/predicate"
 	"repro/internal/txn"
@@ -18,7 +17,6 @@ import (
 // recorded positions stay valid (§7.2, §10.2).
 type Cursor struct {
 	t     *Tree
-	tx    *txn.Txn
 	query []byte
 	iso   Isolation
 	o     *op
@@ -47,33 +45,32 @@ func (t *Tree) OpenCursor(tx *txn.Txn, query []byte, iso Isolation) (*Cursor, er
 // on every later call until ctx is replaced by closing and reopening.
 func (t *Tree) OpenCursorCtx(ctx context.Context, tx *txn.Txn, query []byte, iso Isolation) (*Cursor, error) {
 	t.Stats.Searches.Add(1)
-	var pred *predicate.Predicate
-	if iso == RepeatableRead {
-		pred = t.preds.New(tx.ID(), predicate.Search, query)
-	}
-	conflicts := func(p *predicate.Predicate) bool {
-		if p.Kind != predicate.Insert {
-			return false
-		}
-		return t.ops.Consistent(p.Data, query)
-	}
-	return t.openCursor(ctx, tx, query, iso, pred, conflicts)
-}
-
-func (t *Tree) openCursor(ctx context.Context, tx *txn.Txn, query []byte, iso Isolation, attach *predicate.Predicate, conflicts func(*predicate.Predicate) bool) (*Cursor, error) {
 	o := t.opEnterCtx(ctx, tx)
 	o.track("cursor")
-	// Counter before root pointer: see locateLeaf for why this order is
-	// load-bearing against racing root splits.
-	nsn := t.counter()
-	root, err := o.optimisticRootID()
-	if err != nil {
+	pred, conflicts := t.searchPredicate(tx, query, iso)
+	c := new(Cursor)
+	if err := c.open(o, query, iso, pred, conflicts); err != nil {
 		o.exit()
 		return nil, err
 	}
-	c := &Cursor{
-		t:         t,
-		tx:        tx,
+	return c, nil
+}
+
+// open starts c's traversal on the operation o, which Close exits. attach
+// (if non-nil) is the predicate attached to every visited node, and
+// conflicts decides which already-attached predicates ahead of it force
+// the traversal to block.
+func (c *Cursor) open(o *op, query []byte, iso Isolation, attach *predicate.Predicate, conflicts func(*predicate.Predicate) bool) error {
+	// Counter before root pointer: see locateLeaf for why this order is
+	// load-bearing against racing root splits.
+	nsn := o.t.counter()
+	root, err := o.rootID()
+	if err != nil {
+		return err
+	}
+	o.signal(root)
+	*c = Cursor{
+		t:         o.t,
 		query:     query,
 		iso:       iso,
 		o:         o,
@@ -82,8 +79,7 @@ func (t *Tree) openCursor(ctx context.Context, tx *txn.Txn, query []byte, iso Is
 		seen:      make(map[page.RID]bool),
 		conflicts: conflicts,
 	}
-	o.signal(root)
-	return c, nil
+	return nil
 }
 
 // Next returns the next matching entry. ok is false when the search is
@@ -93,7 +89,6 @@ func (c *Cursor) Next() (SearchResult, bool, error) {
 	if c.closed {
 		return SearchResult{}, false, fmt.Errorf("gist: Next on closed cursor")
 	}
-	t := c.t
 	for {
 		// Node-visit boundary: the only state held here is the stack (backed
 		// by signaling locks that exit() releases) — nothing latched, nothing
@@ -118,78 +113,20 @@ func (c *Cursor) Next() (SearchResult, bool, error) {
 		if err != nil {
 			return SearchResult{}, false, fmt.Errorf("gist: cursor fetch %d: %w", se.pg, err)
 		}
-
-		if t.cfg.OptimisticReads {
-			handled, herr := c.visitOptimistic(f, se)
-			if herr != nil {
-				return SearchResult{}, false, herr
-			}
-			if handled {
-				continue
-			}
-			// Validation kept failing: fall through to the pessimistic
-			// visit below with the frame still pinned.
+		if err := c.visit(f, se); err != nil {
+			return SearchResult{}, false, err
 		}
-
-		c.o.latchPage(f, latch.S)
-
-		if f.Page.NSN() > se.nsn {
-			if rl := f.Page.Rightlink(); rl != page.InvalidPage {
-				c.stack = append(c.stack, stackEntry{pg: rl, nsn: se.nsn})
-				c.o.signal(rl)
-				t.Stats.RightlinkChases.Add(1)
-			}
-		}
-
-		if c.pred != nil {
-			ahead := t.preds.Attach(c.pred, se.pg, c.conflicts)
-			if len(ahead) > 0 {
-				c.o.unlatchPage(f, latch.S)
-				t.pool.Unpin(f, false, 0)
-				if err := c.o.blockOnPredicates(ahead); err != nil {
-					return SearchResult{}, false, err
-				}
-				c.stack = append(c.stack, se)
-				continue
-			}
-		}
-
-		if f.Page.IsLeaf() {
-			redo, err := c.o.scanLeaf(f, se, c.query, c.iso, c.seen, &c.pending)
-			c.o.unlatchPage(f, latch.S)
-			t.pool.Unpin(f, false, 0)
-			if err != nil {
-				return SearchResult{}, false, err
-			}
-			if redo != nil {
-				if lerr := c.o.waitRecord(redo.rid); lerr != nil {
-					return SearchResult{}, false, lerr
-				}
-				c.stack = append(c.stack, se)
-				continue
-			}
-		} else {
-			childNSN := t.counter()
-			if t.cfg.ParentLSNOpt {
-				childNSN = f.Page.LSN()
-			}
-			for i := 0; i < f.Page.NumSlots(); i++ {
-				if pred, ok := f.Page.PredAt(i); ok && t.ops.Consistent(pred, c.query) {
-					child := f.Page.ChildAt(i)
-					c.stack = append(c.stack, stackEntry{pg: child, nsn: childNSN})
-					c.o.signal(child)
-				}
-			}
-			c.o.unlatchPage(f, latch.S)
-			t.pool.Unpin(f, false, 0)
-		}
-		c.o.releaseSignal(se.pg)
 	}
 }
 
 // All drains the cursor and closes it.
 func (c *Cursor) All() ([]SearchResult, error) {
 	defer c.Close()
+	return c.drain()
+}
+
+// drain returns every remaining match.
+func (c *Cursor) drain() ([]SearchResult, error) {
 	var out []SearchResult
 	for {
 		r, ok, err := c.Next()

@@ -43,7 +43,7 @@ func (t *Tree) DeleteCtx(ctx context.Context, tx *txn.Txn, key []byte, rid page.
 	// predicate (§7), traversing all consistent subtrees.
 	query := t.ops.KeyQuery(key)
 	nsn := t.counter()
-	root, err := t.rootID()
+	root, err := o.rootID()
 	if err != nil {
 		return err
 	}
@@ -60,12 +60,11 @@ func (t *Tree) DeleteCtx(ctx context.Context, tx *txn.Txn, key []byte, rid page.
 		if err != nil {
 			return fmt.Errorf("gist: delete fetch %d: %w", se.pg, err)
 		}
-		leaf := f.Page.IsLeaf()
-		mode := latch.S
-		if leaf {
-			mode = latch.X
+		if !f.Page.IsLeaf() { // level is immutable for a page id
+			stack = o.visitInternal(f, se, query, stack)
+			continue
 		}
-		o.latchPage(f, mode)
+		o.latchPage(f, latch.X)
 		if f.Page.NSN() > se.nsn {
 			if rl := f.Page.Rightlink(); rl != page.InvalidPage {
 				stack = append(stack, stackEntry{pg: rl, nsn: se.nsn})
@@ -73,52 +72,41 @@ func (t *Tree) DeleteCtx(ctx context.Context, tx *txn.Txn, key []byte, rid page.
 				t.Stats.RightlinkChases.Add(1)
 			}
 		}
-		if leaf {
-			slot := f.Page.FindEntry(rid, key, false)
-			if slot >= 0 {
-				e := f.Page.MustEntry(slot)
-				{
-					old := e.Encode(true)
-					if err := f.Page.MarkDeleted(slot, tx.ID()); err != nil {
-						o.unlatchPage(f, mode)
-						t.pool.Unpin(f, false, 0)
-						return err
-					}
-					lsn := tx.Log(&wal.Record{
-						Type: wal.RecMarkLeafEntry,
-						Pg:   f.ID(),
-						NSN:  f.Page.NSN(),
-						Body: old,
-					})
-					f.Page.SetLSN(lsn)
-					t.Stats.Marks.Add(1)
-					// Retain the signaling lock on the leaf
-					// until transaction end: undo must be
-					// able to re-walk this chain.
-					o.pinSignal(f.ID())
-					o.unlatchPage(f, mode)
-					t.pool.Unpin(f, true, lsn)
-					return nil
-				}
-			}
-		} else {
-			childNSN := t.counter()
-			if t.cfg.ParentLSNOpt {
-				childNSN = f.Page.LSN()
-			}
-			for i := 0; i < f.Page.NumSlots(); i++ {
-				if pred, ok := f.Page.PredAt(i); ok && t.ops.Consistent(pred, query) {
-					child := f.Page.ChildAt(i)
-					stack = append(stack, stackEntry{pg: child, nsn: childNSN})
-					o.signal(child)
-				}
-			}
+		if slot := f.Page.FindEntry(rid, key, false); slot >= 0 {
+			return o.markDeleted(f, slot)
 		}
-		o.unlatchPage(f, mode)
+		o.unlatchPage(f, latch.X)
 		t.pool.Unpin(f, false, 0)
 		o.releaseSignal(se.pg)
 	}
 	return fmt.Errorf("%w: key with RID %v", ErrNotFound, rid)
+}
+
+// markDeleted sets the delete mark on slot of the X-latched leaf f, logged
+// in the transaction's backchain, then unlatches and unpins f.
+func (o *op) markDeleted(f *buffer.Frame, slot int) error {
+	t := o.t
+	e := f.Page.MustEntry(slot)
+	old := e.Encode(true)
+	if err := f.Page.MarkDeleted(slot, o.tx.ID()); err != nil {
+		o.unlatchPage(f, latch.X)
+		t.pool.Unpin(f, false, 0)
+		return err
+	}
+	lsn := o.tx.Log(&wal.Record{
+		Type: wal.RecMarkLeafEntry,
+		Pg:   f.ID(),
+		NSN:  f.Page.NSN(),
+		Body: old,
+	})
+	f.Page.SetLSN(lsn)
+	t.Stats.Marks.Add(1)
+	// Retain the signaling lock on the leaf until transaction end: undo
+	// must be able to re-walk this chain.
+	o.pinSignal(f.ID())
+	o.unlatchPage(f, latch.X)
+	t.pool.Unpin(f, true, lsn)
+	return nil
 }
 
 // gcLeafLocked removes, from an X-latched leaf, every logically deleted
@@ -248,20 +236,14 @@ func (o *op) shrinkParentBP(f *buffer.Frame, stack []pathEntry) {
 // node but not yet taken its signaling lock.
 func (o *op) tryDeleteNode(f *buffer.Frame, stack []pathEntry) {
 	t := o.t
-	if stack == nil || len(stack) == 0 {
+	if len(stack) == 0 {
 		return // never delete the root (or without path context)
 	}
 	pg := f.ID()
-	// Drop our own signaling lock first so the probe only sees others'.
-	if o.signals[pg] {
-		delete(o.signals, pg)
-		t.locks.Unlock(o.tx.ID(), lock.ForNode(pg))
-	}
-	if !t.locks.TryLock(o.tx.ID(), lock.ForNode(pg), lock.X) {
-		return // someone still points here; retry on a later pass
-	}
-	defer t.locks.Unlock(o.tx.ID(), lock.ForNode(pg))
-
+	// Latch the parent BEFORE probing the node lock. A visitor holding
+	// the parent's shared latch may be waiting in signal for its S lock on
+	// this node, so the deleter must never wait for the parent while it
+	// holds the X node lock; once it holds that lock it waits for nothing.
 	parentF, slot, ownPin, err := o.ascendToParent(stack, pg, f.Page.Level())
 	if err != nil || parentF == nil {
 		return
@@ -278,6 +260,15 @@ func (o *op) tryDeleteNode(f *buffer.Frame, stack []pathEntry) {
 	if parentF.Page.NumSlots() <= 1 {
 		return
 	}
+	// Drop our own signaling lock first so the probe only sees others'.
+	if o.signals[pg] {
+		delete(o.signals, pg)
+		t.locks.Unlock(o.tx.ID(), lock.ForNode(pg))
+	}
+	if !t.locks.TryLock(o.tx.ID(), lock.ForNode(pg), lock.X) {
+		return // someone still points here; retry on a later pass
+	}
+	defer t.locks.Unlock(o.tx.ID(), lock.ForNode(pg))
 
 	if err := o.tx.BeginNTA(); err != nil {
 		return
@@ -330,7 +321,7 @@ func (t *Tree) CollectLeafRefs(tx *txn.Txn) ([]LeafRef, error) {
 
 func (o *op) collectLeafRefs() ([]LeafRef, error) {
 	t := o.t
-	root, err := t.rootID()
+	root, err := o.rootID()
 	if err != nil {
 		return nil, err
 	}
@@ -447,7 +438,7 @@ func (t *Tree) DeadEntries() int64 {
 func (t *Tree) Destroy(tx *txn.Txn) error {
 	o := t.opEnter(tx)
 	defer o.exit()
-	root, err := t.rootID()
+	root, err := o.rootID()
 	if err != nil {
 		return err
 	}

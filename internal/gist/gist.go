@@ -136,23 +136,10 @@ type Config struct {
 	// AssertNoLatchOnIO panics if a buffer-pool miss occurs while the
 	// operation holds any node latch (experiment E10's watchdog).
 	AssertNoLatchOnIO bool
-	// OptimisticReads lets read-only node visits (search descents, cursor
-	// scans, the insert descent through internal nodes) snapshot pages
-	// under seqlock version validation instead of taking the shared
-	// latch. Writers keep their latch discipline untouched.
-	OptimisticReads bool
-	// OptimisticRetries is how many consecutive failed validations a
-	// node visit tolerates before falling back to the pessimistic shared
-	// latch; 0 means the default (3).
-	OptimisticRetries int
 	// Recorder, when set, receives one flight-recorder trace per tracked
 	// public operation (search, insert, delete, cursor lifetime).
 	Recorder *stats.Recorder
 }
-
-// defaultOptimisticRetries is the fallback ladder depth when the config
-// leaves OptimisticRetries zero.
-const defaultOptimisticRetries = 3
 
 // Stats aggregates tree-level instrumentation counters.
 type Stats struct {
@@ -209,10 +196,6 @@ type Tree struct {
 	// the owning transaction ends (the insert target-leaf rule, §7.2).
 	pinMu  sync.Mutex
 	pinned map[page.TxnID]map[page.PageID]bool
-
-	// optRetries is the resolved OptimisticRetries (config value or the
-	// default), kept off the hot path's config lookups.
-	optRetries int
 
 	// rootCache memoizes the last validated (anchor seqlock version, root
 	// pointer) pair. An optimistic root read whose current anchor version
@@ -320,7 +303,10 @@ func Open(pool *buffer.Pool, tm *txn.Manager, cfg Config, anchor page.PageID) (*
 		return nil, err
 	}
 	t.anchorF = f
-	if _, err := t.rootID(); err != nil {
+	f.Latch.Acquire(latch.S)
+	_, err = anchorRootOf(&f.Page)
+	f.Latch.Release(latch.S)
+	if err != nil {
 		pool.Unpin(f, false, 0)
 		return nil, err
 	}
@@ -348,25 +334,12 @@ func newTree(pool *buffer.Pool, tm *txn.Manager, cfg Config) *Tree {
 		activeOps: make(map[uint64]uint64),
 		pinned:    make(map[page.TxnID]map[page.PageID]bool),
 	}
-	t.optRetries = cfg.OptimisticRetries
-	if t.optRetries <= 0 {
-		t.optRetries = defaultOptimisticRetries
-	}
 	t.registerUndo()
 	return t
 }
 
 // Anchor returns the tree's anchor page id (persist it to reopen the tree).
 func (t *Tree) Anchor() page.PageID { return t.anchor }
-
-// rootID reads the current root pointer from the permanently pinned anchor
-// page — never an I/O, so it is safe under held latches.
-func (t *Tree) rootID() (page.PageID, error) {
-	t.anchorF.Latch.Acquire(latch.S)
-	root, err := anchorRootOf(&t.anchorF.Page)
-	t.anchorF.Latch.Release(latch.S)
-	return root, err
-}
 
 // counter reads the tree-global counter: the last assigned LSN (§10.1).
 func (t *Tree) counter() page.LSN { return t.log.LastLSN() }
@@ -387,10 +360,10 @@ type op struct {
 	// its nested top action has ended (see splitSMO).
 	smoHeld []func()
 
-	// scratch is the operation's optimistic-path scratch (snapshot page
-	// plus staging slices), taken from snapPool on first use and returned
-	// at exit so a warm pool keeps the read path allocation-free.
-	scratch *optScratch
+	// snap is the page node views copy into, taken from snapPool on
+	// first use and returned at exit so a warm pool keeps the read path
+	// allocation-free.
+	snap *page.Page
 
 	// Optimistic-read tallies, accumulated locally and folded into the
 	// latch package's registry once at exit so node visits perform no
@@ -504,9 +477,9 @@ func (o *op) exit() {
 		latch.AddOptStats(o.optReads, o.optRestarts, o.optFallbacks)
 		o.optReads, o.optRestarts, o.optFallbacks = 0, 0, 0
 	}
-	if o.scratch != nil {
-		snapPool.Put(o.scratch)
-		o.scratch = nil
+	if o.snap != nil {
+		snapPool.Put(o.snap)
+		o.snap = nil
 	}
 	for pg := range o.signals {
 		o.releaseSignal(pg)
@@ -547,15 +520,18 @@ func (t *Tree) quarantinePage(pg page.PageID) {
 
 // signal takes the signaling S lock on a node on behalf of the operation's
 // transaction (set when a pointer to the node is pushed on the stack,
-// §7.2). Signaling locks never block: they are S locks that only conflict
-// with a node deleter's X probe, and the deleter only ever uses TryLock.
+// §7.2). Signaling locks are S locks that only conflict with a node
+// deleter's X lock, which the deleter takes with TryLock only after it has
+// latched the parent, and holds for an unlink during which it waits for
+// nothing: a signal waits at most that long, even when its caller holds a
+// latch.
 func (o *op) signal(pg page.PageID) {
 	if o.signals[pg] {
 		return
 	}
 	if err := o.t.locks.Lock(o.tx.ID(), lock.ForNode(pg), lock.S); err != nil {
-		// Cannot happen: S never conflicts with S and deleters never
-		// hold X while others wait.
+		// Cannot happen: the deleter a signal waits for is itself
+		// waiting for nothing, so the wait closes no cycle.
 		panic(fmt.Sprintf("gist: signaling lock: %v", err))
 	}
 	o.signals[pg] = true

@@ -41,10 +41,6 @@ func newEnvWithPool(t *testing.T, cfg gist.Config, poolSize int) *env {
 	if cfg.Ops == nil {
 		cfg.Ops = btree.Ops{}
 	}
-	// The whole suite runs with the optimistic read path on, matching the
-	// facade default; tests that need the pessimistic path build their
-	// own Config.
-	cfg.OptimisticReads = true
 	e := &env{
 		t:     t,
 		disk:  storage.NewMemDisk(),

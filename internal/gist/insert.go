@@ -153,7 +153,7 @@ func (o *op) locateLeaf(key []byte) (*buffer.Frame, []pathEntry, error) {
 	// reader that obtained the old root must have memorized a value
 	// below the split's NSN and will chase the old root's rightlink.
 	curNSN := t.counter()
-	root, err := o.optimisticRootID()
+	root, err := o.rootID()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -173,59 +173,27 @@ func (o *op) locateLeaf(key []byte) (*buffer.Frame, []pathEntry, error) {
 			return nil, nil, fmt.Errorf("gist: locate fetch %d: %w", cur, err)
 		}
 		// Level is immutable for a page id, so reading it before
-		// choosing the latch mode is safe.
-		leaf := f.Page.IsLeaf()
-
-		if !leaf && t.cfg.OptimisticReads {
-			if child, slot, next, ok := o.descendOptimistic(f, cur, curNSN, key); ok {
-				stack = append(stack, pathEntry{pg: cur, f: f, slot: slot}) // stays pinned
-				cur, curNSN = child, next
-				continue
-			}
-			// Missed split, empty node, or persistent validation failure:
-			// redo this visit under the shared latch (frame still pinned).
-		}
-
-		mode := latch.S
-		if leaf {
-			mode = latch.X
-		}
-		o.latchPage(f, mode)
-
-		if f.Page.NSN() > curNSN {
-			// Missed split(s): pick the minimal-penalty node in the
-			// rightlink chain delimited by the memorized value.
-			best, err := o.bestInChain(f, mode, curNSN, key)
+		// choosing how to visit is safe.
+		if !f.Page.IsLeaf() {
+			at, slot, child, next, err := o.descend(f, cur, curNSN, key)
 			if err != nil {
 				o.releasePath(stack)
 				return nil, nil, err
 			}
-			f = best
+			stack = append(stack, pathEntry{pg: at.ID(), f: at, slot: slot}) // stays pinned
+			cur, curNSN = child, next
+			continue
 		}
-
-		if f.Page.IsLeaf() {
-			return f, stack, nil
+		o.latchPage(f, latch.X)
+		if f.Page.NSN() > curNSN {
+			// Missed split(s): pick the minimal-penalty leaf in the
+			// rightlink chain delimited by the memorized value.
+			if f, err = o.bestInChain(f, latch.X, curNSN, key); err != nil {
+				o.releasePath(stack)
+				return nil, nil, err
+			}
 		}
-
-		// Choose the minimal-penalty branch.
-		bestSlot := t.minPenaltySlot(&f.Page, key)
-		if bestSlot < 0 {
-			o.unlatchPage(f, mode)
-			t.pool.Unpin(f, false, 0)
-			o.releasePath(stack)
-			return nil, nil, fmt.Errorf("gist: internal node %d has no entries", f.ID())
-		}
-		child := f.Page.ChildAt(bestSlot)
-		// Memorize the counter while still latched (Figure 4); the
-		// §10.1 optimization uses the node's own LSN instead.
-		next := t.counter()
-		if t.cfg.ParentLSNOpt {
-			next = f.Page.LSN()
-		}
-		o.signal(child)
-		o.unlatchPage(f, mode)
-		stack = append(stack, pathEntry{pg: f.ID(), f: f, slot: bestSlot}) // stays pinned
-		cur, curNSN = child, next
+		return f, stack, nil
 	}
 }
 
@@ -364,7 +332,7 @@ func (o *op) findParentSlow(child page.PageID, childLevel uint16) (*buffer.Frame
 	// exists (split SMOs install it before releasing latches), so a
 	// fresh scan eventually finds it.
 	for attempt := 0; ; attempt++ {
-		root, err := o.t.rootID()
+		root, err := o.rootID()
 		if err != nil {
 			return nil, 0, false, err
 		}

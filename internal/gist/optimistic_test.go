@@ -16,6 +16,7 @@ import (
 	"repro/internal/gist"
 	"repro/internal/latch"
 	"repro/internal/page"
+	"repro/internal/txn"
 )
 
 // TestOptimisticReaderVsSplits runs searchers and cursor scans against
@@ -289,66 +290,122 @@ func TestOptimisticEvictionChurn(t *testing.T) {
 	e.checkTree()
 }
 
-// TestOptimisticFallbackLadder deterministically drives the fallback: with
-// the root frame held X, a searcher's optimistic visits can never
-// validate, so after the retry budget it must fall back to the shared
-// latch, block until the X holder leaves, and still return exact results.
+// TestOptimisticFallbackLadder deterministically drives the fallback of
+// every node-visit caller: with the internal root frame held X, a visit's
+// copies can never validate, so after the retry budget it must fall back
+// to the shared latch, block until the X holder leaves, and still produce
+// exact results.
 func TestOptimisticFallbackLadder(t *testing.T) {
-	e := newEnv(t, gist.Config{MaxEntries: 8, OptimisticRetries: 2})
-	for k := int64(0); k < 10; k++ {
-		e.put(k)
+	const n = 10
+	count := func(e *env, tx *txn.Txn) (int, error) {
+		rs, err := e.tree.Search(tx, btree.EncodeRange(0, 100), gist.ReadCommitted)
+		return len(rs), err
 	}
-	rep := e.checkTree()
+	for _, c := range []struct {
+		name string
+		// run performs the operation under test in tx and returns the
+		// number of entries a search then sees.
+		run  func(e *env, tx *txn.Txn, rids []page.RID) (int, error)
+		want int
+	}{
+		{"Search/ReadCommitted", func(e *env, tx *txn.Txn, _ []page.RID) (int, error) {
+			return count(e, tx)
+		}, n},
+		{"Search/RepeatableRead", func(e *env, tx *txn.Txn, _ []page.RID) (int, error) {
+			rs, err := e.tree.Search(tx, btree.EncodeRange(0, 100), gist.RepeatableRead)
+			return len(rs), err
+		}, n},
+		{"CursorDrain", func(e *env, tx *txn.Txn, _ []page.RID) (int, error) {
+			cur, err := e.tree.OpenCursor(tx, btree.EncodeRange(0, 100), gist.ReadCommitted)
+			if err != nil {
+				return 0, err
+			}
+			rs, err := cur.All()
+			return len(rs), err
+		}, n},
+		{"Delete", func(e *env, tx *txn.Txn, rids []page.RID) (int, error) {
+			if err := e.tree.Delete(tx, btree.EncodeKey(3), rids[3]); err != nil {
+				return 0, err
+			}
+			return count(e, tx)
+		}, n - 1},
+		{"InsertDescent", func(e *env, tx *txn.Txn, _ []page.RID) (int, error) {
+			rid, err := e.heap.Insert(tx, []byte("r"))
+			if err != nil {
+				return 0, err
+			}
+			if err := e.tree.Insert(tx, btree.EncodeKey(50), rid); err != nil {
+				return 0, err
+			}
+			return count(e, tx)
+		}, n + 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			e := newEnv(t, gist.Config{MaxEntries: 8})
+			var rids []page.RID
+			for k := int64(0); k < n; k++ {
+				rids = append(rids, e.put(k))
+			}
+			rep := e.checkTree()
+			if rep.Height < 2 {
+				t.Fatalf("tree height %d: the root must be an internal node", rep.Height)
+			}
+			before := latch.Metrics().Value("latch.opt_fallbacks")
 
-	before := latch.Metrics().Value("latch.opt_fallbacks")
+			rootF, err := e.pool.Fetch(rep.Root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rootF.Latch.Acquire(latch.X)
 
-	rootF, err := e.pool.Fetch(rep.Root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rootF.Latch.Acquire(latch.X)
+			type out struct {
+				n   int
+				err error
+			}
+			res := make(chan out, 1)
+			go func() {
+				tx, err := e.tm.Begin()
+				if err != nil {
+					res <- out{0, err}
+					return
+				}
+				got, err := c.run(e, tx, rids)
+				if err != nil {
+					tx.Abort()
+				} else {
+					err = tx.Commit()
+				}
+				e.tree.TxnFinished(tx.ID())
+				res <- out{got, err}
+			}()
 
-	type scanOut struct {
-		n   int
-		err error
-	}
-	res := make(chan scanOut, 1)
-	go func() {
-		tx, err := e.tm.Begin()
-		if err != nil {
-			res <- scanOut{0, err}
-			return
-		}
-		rs, serr := e.tree.Search(tx, btree.EncodeRange(0, 100), gist.ReadCommitted)
-		tx.Commit()
-		e.tree.TxnFinished(tx.ID())
-		res <- scanOut{len(rs), serr}
-	}()
+			// The operation must be parked on the root's S latch, not
+			// returning.
+			select {
+			case o := <-res:
+				t.Fatalf("returned (%d, %v) while the root was X-latched", o.n, o.err)
+			case <-time.After(30 * time.Millisecond):
+			}
 
-	// The searcher must be parked on the root's S latch, not returning.
-	select {
-	case out := <-res:
-		t.Fatalf("search returned (%d, %v) while root was X-latched", out.n, out.err)
-	case <-time.After(30 * time.Millisecond):
-	}
+			rootF.Latch.Release(latch.X)
+			e.pool.Unpin(rootF, false, 0)
 
-	rootF.Latch.Release(latch.X)
-	e.pool.Unpin(rootF, false, 0)
-
-	select {
-	case out := <-res:
-		if out.err != nil {
-			t.Fatalf("search after fallback: %v", out.err)
-		}
-		if out.n != 10 {
-			t.Fatalf("search after fallback returned %d results, want 10", out.n)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("search never completed after X release")
-	}
-
-	if after := latch.Metrics().Value("latch.opt_fallbacks"); after <= before {
-		t.Errorf("opt_fallbacks did not advance (%d -> %d)", before, after)
+			select {
+			case o := <-res:
+				if o.err != nil {
+					t.Fatalf("after fallback: %v", o.err)
+				}
+				if o.n != c.want {
+					t.Fatalf("after fallback a search saw %d entries, want %d", o.n, c.want)
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatal("never completed after X release")
+			}
+			if after := latch.Metrics().Value("latch.opt_fallbacks"); after <= before {
+				t.Errorf("opt_fallbacks did not advance (%d -> %d)", before, after)
+			}
+			e.checkTree()
+		})
 	}
 }
 
@@ -373,47 +430,5 @@ func TestOptimisticCountersFlow(t *testing.T) {
 	reads1 := latch.Metrics().Value("latch.opt_reads")
 	if reads1 <= reads0 {
 		t.Errorf("opt_reads did not advance across 10 scans (%d -> %d)", reads0, reads1)
-	}
-}
-
-// TestPessimisticModeUntouched pins the gate: with OptimisticReads off the
-// tree must not perform a single optimistic visit.
-func TestPessimisticModeUntouched(t *testing.T) {
-	cfg := gist.Config{Ops: btree.Ops{}, MaxEntries: 4}
-	// Bypass newEnv's OptimisticReads default: build the env, then a
-	// second pessimistic tree on the same substrate.
-	e := newEnv(t, gist.Config{MaxEntries: 4})
-	tree2, err := gist.Create(e.pool, e.tm, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tree2.Close()
-	tx := e.begin()
-	rid, err := e.heap.Insert(tx, []byte("r"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tree2.Insert(tx, btree.EncodeKey(7), rid); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	tree2.TxnFinished(tx.ID())
-
-	reads0 := latch.Metrics().Value("latch.opt_reads")
-	falls0 := latch.Metrics().Value("latch.opt_fallbacks")
-	tx2 := e.begin()
-	rs, err := tree2.Search(tx2, btree.EncodeRange(0, 100), gist.ReadCommitted)
-	if err != nil || len(rs) != 1 {
-		t.Fatalf("pessimistic search = %v, %v", rs, err)
-	}
-	tx2.Commit()
-	tree2.TxnFinished(tx2.ID())
-	if r := latch.Metrics().Value("latch.opt_reads"); r != reads0 {
-		t.Errorf("pessimistic tree advanced opt_reads (%d -> %d)", reads0, r)
-	}
-	if f := latch.Metrics().Value("latch.opt_fallbacks"); f != falls0 {
-		t.Errorf("pessimistic tree advanced opt_fallbacks (%d -> %d)", falls0, f)
 	}
 }

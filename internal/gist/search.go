@@ -9,8 +9,6 @@ import (
 	"repro/internal/page"
 	"repro/internal/predicate"
 	"repro/internal/txn"
-
-	"repro/internal/buffer"
 )
 
 // SearchResult is one (key, RID) pair returned by a search.
@@ -52,98 +50,32 @@ func (t *Tree) SearchCtx(ctx context.Context, tx *txn.Txn, query []byte, iso Iso
 	o := t.opEnterCtx(ctx, tx)
 	o.track("search")
 	defer o.exit()
-	var pred *predicate.Predicate
-	if iso == RepeatableRead {
-		pred = t.preds.New(tx.ID(), predicate.Search, query)
-	}
-	// A search blocks behind conflicting insert predicates already
-	// attached (FIFO fairness, §10.3).
-	conflicts := func(p *predicate.Predicate) bool {
-		if p.Kind != predicate.Insert {
-			return false
-		}
-		return t.ops.Consistent(p.Data, query)
-	}
-	return t.searchCore(o, query, iso, pred, conflicts)
+	pred, conflicts := t.searchPredicate(tx, query, iso)
+	return o.search(query, iso, pred, conflicts)
 }
 
-// searchCore is the traversal shared by Search and the search phase of
-// unique insertion: a cursor opened on the caller's operation context and
-// drained to completion. attach (if non-nil) is the predicate attached to
-// every visited node, and conflicts decides which already-attached
-// predicates ahead of it force the operation to block.
-func (t *Tree) searchCore(o *op, query []byte, iso Isolation, attach *predicate.Predicate, conflicts func(*predicate.Predicate) bool) ([]SearchResult, error) {
-	// Counter before root pointer: see locateLeaf for why this order is
-	// load-bearing against racing root splits.
-	nsn := t.counter()
-	root, err := o.optimisticRootID()
-	if err != nil {
+// searchPredicate returns the predicate a search at isolation iso attaches
+// to the nodes it visits — none under ReadCommitted — and the rule by
+// which it blocks behind conflicting insert predicates already attached
+// (FIFO fairness, §10.3).
+func (t *Tree) searchPredicate(tx *txn.Txn, query []byte, iso Isolation) (*predicate.Predicate, func(*predicate.Predicate) bool) {
+	if iso != RepeatableRead {
+		return nil, nil
+	}
+	return t.preds.New(tx.ID(), predicate.Search, query), func(p *predicate.Predicate) bool {
+		return p.Kind == predicate.Insert && t.ops.Consistent(p.Data, query)
+	}
+}
+
+// search is the traversal shared by Search and the search phase of
+// unique insertion: a cursor on the caller's operation, drained to
+// completion (see Cursor.open for attach and conflicts).
+func (o *op) search(query []byte, iso Isolation, attach *predicate.Predicate, conflicts func(*predicate.Predicate) bool) ([]SearchResult, error) {
+	var c Cursor
+	if err := c.open(o, query, iso, attach, conflicts); err != nil {
 		return nil, err
 	}
-	c := &Cursor{
-		t:         t,
-		tx:        o.tx,
-		query:     query,
-		iso:       iso,
-		o:         o, // owned by the caller; not closed here
-		pred:      attach,
-		stack:     []stackEntry{{pg: root, nsn: nsn}},
-		seen:      make(map[page.RID]bool),
-		conflicts: conflicts,
-	}
-	o.signal(root)
-	var out []SearchResult
-	for {
-		r, ok, err := c.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return out, nil
-		}
-		out = append(out, r)
-	}
-}
-
-// lockBlock describes a record lock the scan must block on before it can
-// continue.
-type lockBlock struct {
-	rid page.RID
-}
-
-// scanLeaf collects matching entries from a latched leaf. If a record lock
-// cannot be taken without blocking it returns a non-nil lockBlock; the
-// caller must unlatch, block, and rescan. Entries whose data RIDs are
-// already in seen are skipped so that rescans never duplicate results
-// (footnote 9 of the paper).
-func (o *op) scanLeaf(f *buffer.Frame, se stackEntry, query []byte, iso Isolation, seen map[page.RID]bool, results *[]SearchResult) (*lockBlock, error) {
-	p := &f.Page
-	for i := 0; i < p.NumSlots(); i++ {
-		key, ok := p.PredAt(i)
-		if !ok || !o.t.ops.Consistent(key, query) {
-			continue
-		}
-		rid, deleted := p.LeafAt(i)
-		if seen[rid] {
-			continue
-		}
-		if !o.lockResult(rid, deleted, iso) {
-			// A writer (inserter or logical deleter) holds the
-			// record: Degree 3 requires waiting for it. The
-			// deleted entry's physical presence is exactly what
-			// gives us this chance to block (§7).
-			return &lockBlock{rid: rid}, nil
-		}
-		// Lock granted instantly; the entry state is final for any
-		// terminated writer: a committed delete leaves the mark set,
-		// an aborted delete has unmarked it.
-		if deleted {
-			continue
-		}
-		*results = append(*results, SearchResult{Key: append([]byte(nil), key...), RID: rid})
-		seen[rid] = true
-	}
-	return nil, nil
+	return c.drain()
 }
 
 // lockResult takes the S record lock a matching leaf entry needs without

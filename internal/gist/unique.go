@@ -39,13 +39,13 @@ func (t *Tree) InsertUniqueCtx(ctx context.Context, tx *txn.Txn, key []byte, rid
 
 	insPred := t.preds.New(tx.ID(), predicate.Insert, append([]byte(nil), key...))
 	query := t.ops.KeyQuery(key)
-	dups, err := t.searchCore(o, query, RepeatableRead, insPred, t.keyConflictsWith(key))
+	dups, err := o.search(query, RepeatableRead, insPred, t.keyConflictsWith(key))
 	if err != nil {
 		t.preds.Release(insPred)
 		return err
 	}
 	if len(dups) > 0 {
-		// The duplicate's record lock (taken by searchCore) is held to
+		// The duplicate's record lock (taken by the search) is held to
 		// end of transaction; the transient predicates are not needed.
 		t.preds.Release(insPred)
 		return ErrDuplicate

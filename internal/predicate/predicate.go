@@ -24,6 +24,7 @@
 package predicate
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -392,13 +393,49 @@ func (m *Manager) Release(p *Predicate) {
 
 // ReleaseTxn removes every predicate owned by txn and all their node
 // attachments; called when the owner transaction terminates (predicates
-// live until end of transaction, §4.3).
+// live until end of transaction, §4.3). It takes the owner's list once
+// and filters each touched node's attachment list once, so releasing k
+// predicates costs O(k) plus the lists' lengths, not O(k²).
 func (m *Manager) ReleaseTxn(txn page.TxnID) {
 	m.ownersMu.Lock()
-	preds := append([]*Predicate(nil), m.byTxn[txn]...)
+	preds := m.byTxn[txn]
+	delete(m.byTxn, txn)
 	m.ownersMu.Unlock()
+	var nodes []page.PageID
 	for _, p := range preds {
-		m.Release(p)
+		p.mu.Lock()
+		if !p.released {
+			p.released = true
+			for node := range p.nodes {
+				nodes = append(nodes, node)
+			}
+			clear(p.nodes)
+		}
+		p.mu.Unlock()
+	}
+	if len(preds) > 1 {
+		slices.Sort(nodes)
+		nodes = slices.Compact(nodes)
+	}
+	for _, node := range nodes {
+		s := m.shardOf(node)
+		s.lock()
+		// Every attachment txn still has is one of preds: the transaction
+		// is ending, so it creates no more.
+		as := s.byNode[node]
+		kept := as[:0]
+		for _, a := range as {
+			if a.pred.Owner != txn {
+				kept = append(kept, a)
+			}
+		}
+		clear(as[len(kept):])
+		if len(kept) == 0 {
+			delete(s.byNode, node)
+		} else {
+			s.byNode[node] = kept
+		}
+		s.mu.Unlock()
 	}
 }
 

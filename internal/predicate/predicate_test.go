@@ -193,6 +193,44 @@ func TestReleaseTxn(t *testing.T) {
 	}
 }
 
+// TestReleaseTxnBulk releases a transaction holding 500 insert
+// predicates on one node, interleaved with other transactions'
+// predicates there and elsewhere: all 500 go, and every other predicate
+// keeps its attachments in FIFO order.
+func TestReleaseTxnBulk(t *testing.T) {
+	m := NewManager()
+	const bulk = page.TxnID(7)
+	var others []*Predicate
+	for i := 0; i < 500; i++ {
+		p := m.New(bulk, Insert, []byte{byte(i), byte(i >> 8)})
+		m.Attach(p, 42, nil)
+		if i%100 == 0 {
+			o := m.New(page.TxnID(100+i), Search, []byte("other"))
+			m.Attach(o, 42, nil)
+			m.Attach(o, 43, nil)
+			others = append(others, o)
+		}
+	}
+	m.ReleaseTxn(bulk)
+	if got := m.PredicatesOf(bulk); len(got) != 0 {
+		t.Errorf("%d predicates of the released transaction remain", len(got))
+	}
+	for _, node := range []page.PageID{42, 43} {
+		got := m.AttachedTo(node)
+		if len(got) != len(others) {
+			t.Fatalf("node %d has %d attachments, want %d", node, len(got), len(others))
+		}
+		for i, o := range others {
+			if got[i] != o {
+				t.Errorf("node %d attachment %d = predicate %d, want %d", node, i, got[i].ID, o.ID)
+			}
+		}
+	}
+	if preds, attaches := m.Counts(); preds != len(others) || attaches != 2*len(others) {
+		t.Errorf("counts = %d preds %d attachments, want %d and %d", preds, attaches, len(others), 2*len(others))
+	}
+}
+
 func TestDetachAndDropNode(t *testing.T) {
 	m := NewManager()
 	p := m.New(1, Search, []byte("p"))

@@ -160,11 +160,9 @@ func (r *ReplicaDB) OpenIndex(name string, ops Ops) (*ReplicaIndex, error) {
 		return nil, err
 	}
 	cfg := gist.Config{
-		Ops:               ops,
-		MaxEntries:        r.opts.MaxEntries,
-		ParentLSNOpt:      r.opts.ParentLSNOpt,
-		OptimisticReads:   r.opts.OptimisticReads == OptimisticOn,
-		OptimisticRetries: r.opts.OptimisticRetries,
+		Ops:          ops,
+		MaxEntries:   r.opts.MaxEntries,
+		ParentLSNOpt: r.opts.ParentLSNOpt,
 	}
 	tree, err := gist.Open(r.pool, r.tm, cfg, anchor)
 	if err != nil {

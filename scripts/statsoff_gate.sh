@@ -14,14 +14,14 @@
 #
 # Environment knobs: COUNT (runs per build, default 15), BENCHTIME (per run,
 # default 500ms), LIMIT_PCT (gate, default 3), BENCH (regexp, default
-# BenchmarkSearchParallel/).
+# ^BenchmarkSearchParallel$).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 COUNT="${COUNT:-15}"
 BENCHTIME="${BENCHTIME:-500ms}"
 LIMIT_PCT="${LIMIT_PCT:-3}"
-BENCH="${BENCH:-BenchmarkSearchParallel/}"
+BENCH="${BENCH:-^BenchmarkSearchParallel$}"
 
 workdir=$(mktemp -d)
 trap 'rm -rf "$workdir"' EXIT
