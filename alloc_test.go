@@ -54,9 +54,9 @@ func TestSearchAllocations(t *testing.T) {
 		fn   func()
 		max  float64
 	}{
-		{"point/ReadCommitted", search(777, 777, gistdb.ReadCommitted, 1), 24},
-		{"point/RepeatableRead", search(777, 777, gistdb.RepeatableRead, 1), 37},
-		{"range100/ReadCommitted", search(500, 599, gistdb.ReadCommitted, 100), 150},
+		{"point/ReadCommitted", search(777, 777, gistdb.ReadCommitted, 1), 16},
+		{"point/RepeatableRead", search(777, 777, gistdb.RepeatableRead, 1), 27},
+		{"range100/ReadCommitted", search(500, 599, gistdb.ReadCommitted, 100), 139},
 	} {
 		c.fn() // warm the pools
 		got := testing.AllocsPerRun(100, c.fn)
@@ -100,7 +100,7 @@ func TestInsertAllocations(t *testing.T) {
 	}
 	got := testing.AllocsPerRun(1000, insert)
 	t.Logf("insert: %.0f allocs/op", got)
-	if max := 58.0; got > max {
+	if max := 46.0; got > max {
 		t.Errorf("insert: %.0f allocs/op, want at most %.0f", got, max)
 	}
 }
@@ -108,8 +108,8 @@ func TestInsertAllocations(t *testing.T) {
 // TestDeleteAllocations pins the heap allocations of a committed
 // single-key delete through the facade (begin, index delete — the
 // equality-search descent plus the leaf mark — heap delete, commit). The
-// limit is the count measured with instrumentation compiled in; a change
-// that moves it updates it here.
+// limit is the count measured with instrumentation compiled in (-tags
+// statsoff saves four more); a change that moves it updates it here.
 func TestDeleteAllocations(t *testing.T) {
 	db, err := gistdb.Open(gistdb.Options{PoolPages: 4096})
 	if err != nil {
@@ -145,7 +145,7 @@ func TestDeleteAllocations(t *testing.T) {
 	del() // warm the pools
 	got := testing.AllocsPerRun(1000, del)
 	t.Logf("delete: %.0f allocs/op", got)
-	if max := 40.0; got > max {
+	if max := 29.0; got > max {
 		t.Errorf("delete: %.0f allocs/op, want at most %.0f", got, max)
 	}
 }

@@ -136,7 +136,6 @@ func buildRestartState() (*wal.Log, *storage.MemDisk, page.PageID, gist.Config) 
 				k++
 			}
 			must(tx.Commit())
-			tree.TxnFinished(tx.ID())
 		}
 	}
 	n := *keysFlag

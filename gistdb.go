@@ -818,8 +818,8 @@ func (db *DB) DropIndex(name string) error {
 		return err
 	}
 	delete(db.indexes, name)
-	// Quarantined pages drain when tree operations quiesce; force it
-	// now (DropIndex requires quiescence anyway).
+	// Destroy quarantined every page until the transactions live at the
+	// drop have ended; DropIndex requires quiescence, so free them now.
 	tree.DrainQuarantine()
 	return nil
 }

@@ -54,7 +54,6 @@ func build(t *testing.T, n int) *env {
 		if err := tx.Commit(); err != nil {
 			t.Fatal(err)
 		}
-		tree.TxnFinished(tx.ID())
 	}
 	return e
 }
@@ -207,7 +206,6 @@ func TestMarkedEntriesCounted(t *testing.T) {
 		}
 	}
 	tx.Commit()
-	e.tree.TxnFinished(tx.ID())
 	rep2, err := e.checker().Check()
 	if err != nil {
 		t.Fatal(err)

@@ -169,10 +169,9 @@ func (m *machine) abandon() {
 	m.disk.Close()
 }
 
-// txnFinished tells every component holding per-transaction state that the
-// transaction is complete.
+// txnFinished tells the heap, the one component holding per-transaction
+// state, that the transaction is complete.
 func (m *machine) txnFinished(id page.TxnID) {
-	m.tree.TxnFinished(id)
 	m.heap.TxnFinished(id)
 }
 

@@ -374,7 +374,6 @@ func validatePromoted(rep *replica, mdl *model, zeroLag bool, tcfg gist.Config, 
 	}
 	defer func() {
 		tx.Commit()
-		rep.tree.TxnFinished(tx.ID())
 		rep.heap.TxnFinished(tx.ID())
 	}()
 	rs, err := rep.tree.Search(tx, btree.EncodeRange(0, 1<<46), gist.ReadCommitted)
@@ -418,7 +417,6 @@ func promotedNewWork(rep *replica, seed int64) error {
 	if err := tx.Commit(); err != nil {
 		return err
 	}
-	rep.tree.TxnFinished(tx.ID())
 	rep.heap.TxnFinished(tx.ID())
 
 	tx2, err := rep.tm.Begin()
@@ -427,7 +425,6 @@ func promotedNewWork(rep *replica, seed int64) error {
 	}
 	defer func() {
 		tx2.Commit()
-		rep.tree.TxnFinished(tx2.ID())
 		rep.heap.TxnFinished(tx2.ID())
 	}()
 	rs, err := rep.tree.Search(tx2, btree.EncodeRange(k, k), gist.ReadCommitted)

@@ -74,7 +74,6 @@ func TestCancelMidInsertCompletesSMO(t *testing.T) {
 				t.Fatal(cerr)
 			}
 		}
-		e.tree.TxnFinished(tx.ID())
 		// Whatever happened, the tree must satisfy every structural
 		// invariant: a cancelled insert never leaves a half-done split.
 		e.checkTree()
@@ -105,7 +104,6 @@ func TestCancelMidInsertCompletesSMO(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	e.tree.TxnFinished(tx.ID())
 }
 
 // TestCancelSearchAndCursor pins the read-side contract: a cancelled
@@ -145,7 +143,6 @@ func TestCancelSearchAndCursor(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	e.tree.TxnFinished(tx.ID())
 }
 
 // TestCancelDeleteRollsBack sweeps cancellation over DeleteCtx: every
@@ -172,7 +169,6 @@ func TestCancelDeleteRollsBack(t *testing.T) {
 		if aerr := tx.Abort(); aerr != nil {
 			t.Fatalf("steps=%d: abort: %v", steps, aerr)
 		}
-		e.tree.TxnFinished(tx.ID())
 	}
 	if !sawCancel {
 		t.Error("no delete was ever cancelled; the step sweep is too short")
@@ -184,6 +180,5 @@ func TestCancelDeleteRollsBack(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	e.tree.TxnFinished(tx.ID())
 	e.checkTree()
 }

@@ -1,7 +1,6 @@
 package gist_test
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -11,8 +10,6 @@ import (
 
 	"repro/internal/btree"
 	"repro/internal/gist"
-	"repro/internal/latch"
-	"repro/internal/lock"
 	"repro/internal/page"
 )
 
@@ -39,14 +36,12 @@ func TestConcurrentInsertersDisjointRanges(t *testing.T) {
 				if err := e.tree.Insert(tx, btree.EncodeKey(k), rid); err != nil {
 					t.Errorf("insert %d: %v", k, err)
 					tx.Abort()
-					e.tree.TxnFinished(tx.ID())
 					return
 				}
 				if err := tx.Commit(); err != nil {
 					t.Error(err)
 					return
 				}
-				e.tree.TxnFinished(tx.ID())
 			}
 		}(w)
 	}
@@ -88,14 +83,12 @@ func TestConcurrentInsertAndScanLinearizable(t *testing.T) {
 				if err := e.tree.Insert(tx, btree.EncodeKey(k), rid); err != nil {
 					t.Errorf("insert %d: %v", k, err)
 					tx.Abort()
-					e.tree.TxnFinished(tx.ID())
 					continue
 				}
 				if err := tx.Commit(); err != nil {
 					t.Error(err)
 					return
 				}
-				e.tree.TxnFinished(tx.ID())
 				published.Store(k, true)
 			}
 		}(w)
@@ -119,11 +112,9 @@ func TestConcurrentInsertAndScanLinearizable(t *testing.T) {
 				if err != nil {
 					t.Errorf("scan: %v", err)
 					tx.Abort()
-					e.tree.TxnFinished(tx.ID())
 					return
 				}
 				tx.Commit()
-				e.tree.TxnFinished(tx.ID())
 				got := make(map[int64]bool, len(rs))
 				for _, r := range rs {
 					got[btree.DecodeKey(r.Key)] = true
@@ -172,11 +163,9 @@ func TestFigure2SplitDuringBlockedScan(t *testing.T) {
 		if err != nil {
 			scanErr <- err
 			tx.Abort()
-			e.tree.TxnFinished(tx.ID())
 			return
 		}
 		tx.Commit()
-		e.tree.TxnFinished(tx.ID())
 		scanDone <- keysOf(rs)
 	}()
 
@@ -206,7 +195,6 @@ func TestFigure2SplitDuringBlockedScan(t *testing.T) {
 	if err := blocker.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	e.tree.TxnFinished(blocker.ID())
 
 	select {
 	case got := <-scanDone:
@@ -263,7 +251,6 @@ func TestPhantomPreventionInsertBlocksOnPredicate(t *testing.T) {
 	if err := scanner.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	e.tree.TxnFinished(scanner.ID())
 
 	select {
 	case err := <-insDone:
@@ -276,7 +263,6 @@ func TestPhantomPreventionInsertBlocksOnPredicate(t *testing.T) {
 	if err := insTx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	e.tree.TxnFinished(insTx.ID())
 
 	tx := e.begin()
 	defer tx.Commit()
@@ -305,9 +291,7 @@ func TestInsertOutsidePredicateDoesNotBlock(t *testing.T) {
 		t.Fatal("insert outside scanned range blocked")
 	}
 	tx.Commit()
-	e.tree.TxnFinished(tx.ID())
 	scanner.Commit()
-	e.tree.TxnFinished(scanner.ID())
 }
 
 func TestScanInsertDeadlockResolved(t *testing.T) {
@@ -335,7 +319,6 @@ func TestScanInsertDeadlockResolved(t *testing.T) {
 	if err := t1.Abort(); err != nil {
 		t.Fatal(err)
 	}
-	e.tree.TxnFinished(t1.ID())
 
 	if err := <-insDone; err != nil {
 		t.Fatalf("T2 insert after T1 aborted: %v", err)
@@ -343,7 +326,6 @@ func TestScanInsertDeadlockResolved(t *testing.T) {
 	if err := t2.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	e.tree.TxnFinished(t2.ID())
 	e.checkTree()
 }
 
@@ -365,18 +347,15 @@ func TestUniqueInsertRace(t *testing.T) {
 			if err != nil {
 				results <- err
 				tx.Abort()
-				e.tree.TxnFinished(tx.ID())
 				return
 			}
 			err = e.tree.InsertUnique(tx, key, rid)
 			if err != nil {
 				tx.Abort()
-				e.tree.TxnFinished(tx.ID())
 				results <- err
 				return
 			}
 			results <- tx.Commit()
-			e.tree.TxnFinished(tx.ID())
 		}(i)
 	}
 	wg.Wait()
@@ -400,196 +379,6 @@ func TestUniqueInsertRace(t *testing.T) {
 	}
 }
 
-func TestNodeDeletionBlockedBySignalingLock(t *testing.T) {
-	e := newEnv(t, gist.Config{MaxEntries: 4})
-	// Build a multi-leaf tree, then empty one leaf.
-	var rids []page.RID
-	for i := 0; i < 12; i++ {
-		rids = append(rids, e.put(int64(i)))
-	}
-	rep := e.checkTree()
-	if rep.Leaves < 3 {
-		t.Fatal("setup: need several leaves")
-	}
-	// Logically delete keys 0..5 (they occupy the low-key leaves) and
-	// commit, leaving those leaves empty after garbage collection.
-	tx := e.begin()
-	for i := 0; i <= 5; i++ {
-		if err := e.tree.Delete(tx, btree.EncodeKey(int64(i)), rids[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	tx.Commit()
-	e.tree.TxnFinished(tx.ID())
-
-	// A foreign operation holds signaling locks on every leaf (as if it
-	// had pushed pointers to them on its stack, §7.2): no node may be
-	// deleted while they exist.
-	holder := page.TxnID(999999)
-	for _, leaf := range rep.LeafIDs {
-		if err := e.locks.Lock(holder, lock.ForNode(leaf), lock.S); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	gcTx := e.begin()
-	if err := e.tree.GCAll(gcTx); err != nil {
-		t.Fatal(err)
-	}
-	gcTx.Commit()
-	e.tree.TxnFinished(gcTx.ID())
-	if n := e.tree.Stats.NodeDeletes.Load(); n != 0 {
-		t.Fatalf("node deleted despite signaling lock (deletes=%d)", n)
-	}
-	// The entries are garbage-collected (GC needs no node lock) but the
-	// emptied leaves are still linked into the tree.
-	repMid := e.checkTree()
-	if repMid.Marked != 0 {
-		t.Errorf("marked entries survived GC: %d", repMid.Marked)
-	}
-	if repMid.Leaves != rep.Leaves {
-		t.Errorf("leaves = %d, want %d (none deletable under signaling locks)", repMid.Leaves, rep.Leaves)
-	}
-
-	// Release the signaling locks (the operation finished): empty leaves
-	// may now be unlinked.
-	e.locks.ReleaseAll(holder)
-	gcTx2 := e.begin()
-	if err := e.tree.GCAll(gcTx2); err != nil {
-		t.Fatal(err)
-	}
-	gcTx2.Commit()
-	e.tree.TxnFinished(gcTx2.ID())
-	if n := e.tree.Stats.NodeDeletes.Load(); n == 0 {
-		t.Error("no node deleted after signaling locks drained")
-	}
-	repAfter := e.checkTree()
-	if repAfter.Leaves >= rep.Leaves {
-		t.Errorf("leaves = %d, want < %d", repAfter.Leaves, rep.Leaves)
-	}
-	// Surviving keys are intact.
-	tx2 := e.begin()
-	defer tx2.Commit()
-	if got := e.search(tx2, 0, 20); len(got) != 6 {
-		t.Errorf("remaining keys = %v", keysOf(got))
-	}
-}
-
-// TestNodeDeleteNeverWaitsHoldingNodeLock pins the latch/lock order of
-// node deletion. A visitor that holds the parent's shared latch may wait
-// in signal for its S signaling lock on a child, so a deleter must not
-// wait for the parent's latch while it holds the child's X node lock:
-// here a GC pass that emptied a leaf parks on the parent latch the test
-// holds, and another transaction's signaling lock on that leaf must still
-// be granted at once.
-func TestNodeDeleteNeverWaitsHoldingNodeLock(t *testing.T) {
-	e := newEnv(t, gist.Config{MaxEntries: 8})
-	for i := 0; i < 20; i++ {
-		e.put(int64(i))
-	}
-	rep := e.checkTree()
-	if rep.Height != 2 || rep.Leaves < 3 {
-		t.Fatalf("setup: height %d with %d leaves, want 2 levels and several leaves", rep.Height, rep.Leaves)
-	}
-	parent, leaf := rep.Root, rep.LeafIDs[0]
-
-	// Delete every entry of the leaf and commit, so GC empties it.
-	lf, err := e.pool.Fetch(leaf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var keys [][]byte
-	var rids []page.RID
-	for i := 0; i < lf.Page.NumSlots(); i++ {
-		if key, ok := lf.Page.PredAt(i); ok {
-			rid, _ := lf.Page.LeafAt(i)
-			keys = append(keys, append([]byte(nil), key...))
-			rids = append(rids, rid)
-		}
-	}
-	e.pool.Unpin(lf, false, 0)
-	tx := e.begin()
-	for i := range keys {
-		if err := e.tree.Delete(tx, keys[i], rids[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	e.tree.TxnFinished(tx.ID())
-
-	// A visitor's shared latch on the parent.
-	pf, err := e.pool.Fetch(parent)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pf.Latch.Acquire(latch.S)
-
-	gcDone := make(chan error, 1)
-	go func() {
-		gcTx, err := e.tm.Begin()
-		if err != nil {
-			gcDone <- err
-			return
-		}
-		err = e.tree.GCLeafRefs(gcTx, []gist.LeafRef{{Leaf: leaf, Parent: parent}})
-		gcTx.Commit()
-		e.tree.TxnFinished(gcTx.ID())
-		gcDone <- err
-	}()
-
-	// Wait until GC parks on the parent latch: a pending writer makes
-	// new shared acquisitions fail.
-	for deadline := time.Now().Add(2 * time.Second); ; {
-		if !pf.Latch.TryAcquire(latch.S) {
-			break
-		}
-		pf.Latch.Release(latch.S)
-		if time.Now().After(deadline) {
-			t.Fatal("GC never waited for the parent latch")
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	// The visitor now signals the leaf.
-	holder := page.TxnID(999999)
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	lockErr := e.locks.LockCtx(ctx, holder, lock.ForNode(leaf), lock.S)
-	cancel()
-	pf.Latch.Release(latch.S)
-	e.pool.Unpin(pf, false, 0)
-	select {
-	case err := <-gcDone:
-		if err != nil {
-			t.Fatalf("gc: %v", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("GC never finished after the parent latch was released")
-	}
-	if lockErr != nil {
-		t.Fatalf("signaling lock on the leaf waited for a deleter parked on the parent latch: %v", lockErr)
-	}
-	if n := e.tree.Stats.NodeDeletes.Load(); n != 0 {
-		t.Fatalf("leaf deleted while another transaction signaled it (deletes=%d)", n)
-	}
-
-	// Once the signal is gone a later pass unlinks the leaf.
-	e.locks.ReleaseAll(holder)
-	gcTx := e.begin()
-	if err := e.tree.GCLeafRefs(gcTx, []gist.LeafRef{{Leaf: leaf, Parent: parent}}); err != nil {
-		t.Fatal(err)
-	}
-	gcTx.Commit()
-	e.tree.TxnFinished(gcTx.ID())
-	if n := e.tree.Stats.NodeDeletes.Load(); n != 1 {
-		t.Errorf("node deletes = %d after the signal was released, want 1", n)
-	}
-	if got := e.checkTree(); got.Entries != 20-len(keys) {
-		t.Errorf("entries = %d, want %d", got.Entries, 20-len(keys))
-	}
-}
-
 func TestNoLatchHeldAcrossIO(t *testing.T) {
 	// A pool far smaller than the tree forces constant I/O; the exact
 	// per-fetch accounting must show zero latched misses on the descent
@@ -605,7 +394,6 @@ func TestNoLatchHeldAcrossIO(t *testing.T) {
 		e.search(tx, int64(i), int64(i+30))
 	}
 	tx.Commit()
-	e.tree.TxnFinished(tx.ID())
 	if n := e.tree.Stats.LatchedIOs.Load(); n != 0 {
 		t.Errorf("latched I/Os = %d, want 0", n)
 	}
@@ -634,7 +422,6 @@ func TestConcurrentMixedWorkloadStress(t *testing.T) {
 				err = e.tree.Insert(tx, btree.EncodeKey(k), rid)
 				if err != nil {
 					tx.Abort()
-					e.tree.TxnFinished(tx.ID())
 					if errors.Is(err, gist.ErrAborted) {
 						continue
 					}
@@ -644,14 +431,12 @@ func TestConcurrentMixedWorkloadStress(t *testing.T) {
 				if i%7 == 3 {
 					// Abort some transactions deliberately.
 					tx.Abort()
-					e.tree.TxnFinished(tx.ID())
 					continue
 				}
 				if err := tx.Commit(); err != nil {
 					t.Error(err)
 					return
 				}
-				e.tree.TxnFinished(tx.ID())
 				committed.Store(k, rid)
 
 				if i%5 == 4 {
@@ -669,7 +454,6 @@ func TestConcurrentMixedWorkloadStress(t *testing.T) {
 						} else {
 							tx2.Abort()
 						}
-						e.tree.TxnFinished(tx2.ID())
 					}
 				}
 			}
@@ -719,14 +503,12 @@ func TestReadYourCommittedWritesUnderSplits(t *testing.T) {
 				if err := e.tree.Insert(tx, btree.EncodeKey(k), rid); err != nil {
 					t.Errorf("insert %d: %v", k, err)
 					tx.Abort()
-					e.tree.TxnFinished(tx.ID())
 					return
 				}
 				if err := tx.Commit(); err != nil {
 					t.Error(err)
 					return
 				}
-				e.tree.TxnFinished(tx.ID())
 
 				q, err := e.tm.Begin()
 				if err != nil {
@@ -735,7 +517,6 @@ func TestReadYourCommittedWritesUnderSplits(t *testing.T) {
 				}
 				rs, err := e.tree.Search(q, btree.EncodeRange(k, k), gist.ReadCommitted)
 				q.Commit()
-				e.tree.TxnFinished(q.ID())
 				if err != nil {
 					t.Errorf("search %d: %v", k, err)
 					return
@@ -807,7 +588,6 @@ func TestInsertNotStarvedByLaterScans(t *testing.T) {
 	if err := s1.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	e.tree.TxnFinished(s1.ID())
 
 	if err := <-insDone; err != nil {
 		t.Fatalf("insert: %v", err)
@@ -815,7 +595,6 @@ func TestInsertNotStarvedByLaterScans(t *testing.T) {
 	if err := insTx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	e.tree.TxnFinished(insTx.ID())
 
 	select {
 	case r := <-s2Done:
@@ -829,7 +608,6 @@ func TestInsertNotStarvedByLaterScans(t *testing.T) {
 		t.Fatal("s2 hung")
 	}
 	s2.Commit()
-	e.tree.TxnFinished(s2.ID())
 }
 
 // TestConcurrentGCAndInserts runs garbage collection passes concurrently
@@ -864,7 +642,6 @@ func TestConcurrentGCAndInserts(t *testing.T) {
 				return
 			}
 			tx.Commit()
-			e.tree.TxnFinished(tx.ID())
 		}
 	}()
 	// Writers: delete low keys, insert high keys.
@@ -882,7 +659,6 @@ func TestConcurrentGCAndInserts(t *testing.T) {
 					} else {
 						tx.Commit()
 					}
-					e.tree.TxnFinished(tx.ID())
 				}
 				k := int64(1000 + w*1000 + i)
 				tx, _ := e.tm.Begin()
@@ -890,11 +666,9 @@ func TestConcurrentGCAndInserts(t *testing.T) {
 				if err := e.tree.Insert(tx, btree.EncodeKey(k), rid); err != nil {
 					t.Errorf("insert %d: %v", k, err)
 					tx.Abort()
-					e.tree.TxnFinished(tx.ID())
 					return
 				}
 				tx.Commit()
-				e.tree.TxnFinished(tx.ID())
 				rids.Store(k, rid)
 			}
 		}(w)

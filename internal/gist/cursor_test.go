@@ -16,7 +16,6 @@ func TestCursorDrainEqualsSearch(t *testing.T) {
 	tx := e.begin()
 	defer func() {
 		tx.Commit()
-		e.tree.TxnFinished(tx.ID())
 	}()
 
 	want := keysOf(e.search(tx, 10, 60))
@@ -69,7 +68,6 @@ func TestCursorIncrementalAndClose(t *testing.T) {
 		t.Error("Next on closed cursor should error")
 	}
 	tx.Commit()
-	e.tree.TxnFinished(tx.ID())
 	e.checkTree()
 }
 
@@ -81,7 +79,6 @@ func TestCursorMarkResetReplaysSuffix(t *testing.T) {
 	tx := e.begin()
 	defer func() {
 		tx.Commit()
-		e.tree.TxnFinished(tx.ID())
 	}()
 	cur, err := e.tree.OpenCursor(tx, btree.EncodeRange(0, 100), gist.RepeatableRead)
 	if err != nil {
@@ -169,7 +166,6 @@ func TestCursorSurvivesConcurrentSplits(t *testing.T) {
 	}
 	cur.Close()
 	tx.Commit()
-	e.tree.TxnFinished(tx.ID())
 	for i := 0; i < 20; i++ {
 		if !got[int64(i*10)] {
 			t.Errorf("cursor missed committed key %d", i*10)
@@ -204,7 +200,6 @@ func TestCursorBlocksOnUncommittedWrite(t *testing.T) {
 	case <-time.After(100 * time.Millisecond):
 	}
 	writer.Commit()
-	e.tree.TxnFinished(writer.ID())
 	select {
 	case r := <-done:
 		if r.err != nil || r.n != 2 {
@@ -214,5 +209,4 @@ func TestCursorBlocksOnUncommittedWrite(t *testing.T) {
 		t.Fatal("cursor hung")
 	}
 	tx.Commit()
-	e.tree.TxnFinished(tx.ID())
 }

@@ -48,7 +48,6 @@ func (t *Tree) DeleteCtx(ctx context.Context, tx *txn.Txn, key []byte, rid page.
 		return err
 	}
 	stack := []stackEntry{{pg: root, nsn: nsn}}
-	o.signal(root)
 	for len(stack) > 0 {
 		// Node-visit boundary: no latch held, no NTA open.
 		if err := o.check(); err != nil {
@@ -68,7 +67,6 @@ func (t *Tree) DeleteCtx(ctx context.Context, tx *txn.Txn, key []byte, rid page.
 		if f.Page.NSN() > se.nsn {
 			if rl := f.Page.Rightlink(); rl != page.InvalidPage {
 				stack = append(stack, stackEntry{pg: rl, nsn: se.nsn})
-				o.signal(rl)
 				t.Stats.RightlinkChases.Add(1)
 			}
 		}
@@ -77,7 +75,6 @@ func (t *Tree) DeleteCtx(ctx context.Context, tx *txn.Txn, key []byte, rid page.
 		}
 		o.unlatchPage(f, latch.X)
 		t.pool.Unpin(f, false, 0)
-		o.releaseSignal(se.pg)
 	}
 	return fmt.Errorf("%w: key with RID %v", ErrNotFound, rid)
 }
@@ -101,9 +98,6 @@ func (o *op) markDeleted(f *buffer.Frame, slot int) error {
 	})
 	f.Page.SetLSN(lsn)
 	t.Stats.Marks.Add(1)
-	// Retain the signaling lock on the leaf until transaction end: undo
-	// must be able to re-walk this chain.
-	o.pinSignal(f.ID())
 	o.unlatchPage(f, latch.X)
 	t.pool.Unpin(f, true, lsn)
 	return nil
@@ -114,13 +108,16 @@ func (o *op) markDeleted(f *buffer.Frame, slot int) error {
 // aborts unmark during rollback). It runs as its own atomic action and,
 // when entries were removed, shrinks the parent's bounding predicate
 // (best effort, one level). This is the "node reorganization" performed by
-// operations passing through the node (§7.1).
-func (o *op) gcLeafLocked(f *buffer.Frame, stack []pathEntry) {
+// operations passing through the node (§7.1). A leaf left empty is unlinked
+// when unlink is set; an inserter passing through its own target leaf
+// clears it, since the emptied leaf is where its key goes.
+func (o *op) gcLeafLocked(f *buffer.Frame, stack []pathEntry, unlink bool) {
 	t := o.t
 	if f.Page.NumSlots() == 0 {
-		// Already empty (an earlier GC pass was blocked from deleting
-		// it by signaling locks): retry the unlink.
-		o.tryDeleteNode(f, stack)
+		// Already empty (an earlier pass could not unlink it): retry.
+		if unlink {
+			o.tryDeleteNode(f, stack)
+		}
 		return
 	}
 	var victims []int
@@ -155,7 +152,9 @@ func (o *op) gcLeafLocked(f *buffer.Frame, stack []pathEntry) {
 	t.Stats.GCEntries.Add(int64(len(victims)))
 
 	if f.Page.NumSlots() == 0 {
-		o.tryDeleteNode(f, stack)
+		if unlink {
+			o.tryDeleteNode(f, stack)
+		}
 		return
 	}
 	o.shrinkParentBP(f, stack)
@@ -166,6 +165,7 @@ func (o *op) gcLeafLocked(f *buffer.Frame, stack []pathEntry) {
 func (t *Tree) GCLeaf(tx *txn.Txn, pg page.PageID) error {
 	o := t.opEnter(tx)
 	defer o.exit()
+	t.drain()
 	f, err := o.fetch(pg)
 	if err != nil {
 		return err
@@ -176,7 +176,7 @@ func (t *Tree) GCLeaf(tx *txn.Txn, pg page.PageID) error {
 		t.pool.Unpin(f, false, 0)
 		return fmt.Errorf("gist: GCLeaf on internal node %d", pg)
 	}
-	o.gcLeafLocked(f, nil)
+	o.gcLeafLocked(f, nil, true)
 	o.unlatchPage(f, latch.X)
 	t.pool.Unpin(f, false, 0)
 	return nil
@@ -226,24 +226,30 @@ func (o *op) shrinkParentBP(f *buffer.Frame, stack []pathEntry) {
 	o.tx.EndNTA()
 }
 
-// tryDeleteNode unlinks an empty, X-latched leaf from the tree if no other
-// operation holds a direct or indirect pointer to it. The probe is the
-// signaling-lock check of §7.2: deletion requires the X node lock, which is
-// denied (without waiting) while any operation's signaling S lock exists.
-// Physical reuse of the page is additionally deferred until every operation
-// active at unlink time has finished (the drain technique of [KL80]), which
-// also covers the window where an operation has read a rightlink to this
-// node but not yet taken its signaling lock.
+// tryDeleteNode unlinks an empty, X-latched leaf from the tree: it removes
+// the parent entry and logs the page free, as one atomic action. Other
+// operations may still hold pointers to the leaf — on a traversal stack or
+// in a cursor's savepoint mark — so the page keeps its NSN and rightlink
+// and is only quarantined: it is reused once every transaction active now
+// has ended (the drain technique of [KL80], §7.2). A late visitor
+// meanwhile finds an empty node and follows its rightlink by the NSN rule;
+// an inserter that latches it sees FlagDeallocated and descends again
+// (locateLeaf).
 func (o *op) tryDeleteNode(f *buffer.Frame, stack []pathEntry) {
 	t := o.t
 	if len(stack) == 0 {
 		return // never delete the root (or without path context)
 	}
+	// Logical undo walks rightlinks from the leaf its record names, also
+	// at restart, where no drain keeps an unlinked page readable. A live
+	// transaction's entry leaves that leaf only by a split, which stamps
+	// the leaf (and every page it leaves between the leaf and the entry)
+	// with an NSN above the transaction's first LSN: such a leaf stays
+	// linked until its writers end.
+	if first := t.tm.MinActiveFirstLSN(); first != 0 && f.Page.NSN() >= first {
+		return
+	}
 	pg := f.ID()
-	// Latch the parent BEFORE probing the node lock. A visitor holding
-	// the parent's shared latch may be waiting in signal for its S lock on
-	// this node, so the deleter must never wait for the parent while it
-	// holds the X node lock; once it holds that lock it waits for nothing.
 	parentF, slot, ownPin, err := o.ascendToParent(stack, pg, f.Page.Level())
 	if err != nil || parentF == nil {
 		return
@@ -260,15 +266,6 @@ func (o *op) tryDeleteNode(f *buffer.Frame, stack []pathEntry) {
 	if parentF.Page.NumSlots() <= 1 {
 		return
 	}
-	// Drop our own signaling lock first so the probe only sees others'.
-	if o.signals[pg] {
-		delete(o.signals, pg)
-		t.locks.Unlock(o.tx.ID(), lock.ForNode(pg))
-	}
-	if !t.locks.TryLock(o.tx.ID(), lock.ForNode(pg), lock.X) {
-		return // someone still points here; retry on a later pass
-	}
-	defer t.locks.Unlock(o.tx.ID(), lock.ForNode(pg))
 
 	if err := o.tx.BeginNTA(); err != nil {
 		return
@@ -292,10 +289,8 @@ func (o *op) tryDeleteNode(f *buffer.Frame, stack []pathEntry) {
 	t.pool.MarkDirty(f, lsn)
 	o.tx.EndNTA()
 
-	// Late traversers may still pass through the (empty) node via its
-	// rightlink until the drain completes; only then is it reused.
 	t.preds.DropNode(pg)
-	t.quarantinePage(pg)
+	t.drain(pg)
 	t.Stats.NodeDeletes.Add(1)
 }
 
@@ -379,6 +374,7 @@ func (t *Tree) GCLeafRefs(tx *txn.Txn, refs []LeafRef) error {
 
 func (o *op) gcLeafRefs(refs []LeafRef) error {
 	t := o.t
+	t.drain()
 	for _, lr := range refs {
 		var stack []pathEntry
 		if lr.Parent != page.InvalidPage {
@@ -395,7 +391,7 @@ func (o *op) gcLeafRefs(refs []LeafRef) error {
 		}
 		o.latchPage(f, latch.X)
 		if f.Page.IsLeaf() && f.Page.Flags()&page.FlagDeallocated == 0 {
-			o.gcLeafLocked(f, stack)
+			o.gcLeafLocked(f, stack, true)
 		}
 		o.unlatchPage(f, latch.X)
 		t.pool.Unpin(f, false, 0)
@@ -478,10 +474,11 @@ func (t *Tree) Destroy(tx *txn.Txn) error {
 	if err := tx.BeginNTA(); err != nil {
 		return err
 	}
-	for _, pg := range pages {
+	for i, pg := range pages {
 		f, err := o.fetch(pg)
 		if err != nil {
 			tx.EndNTA()
+			t.drain(pages[:i]...)
 			return err
 		}
 		o.latchPage(f, latch.X)
@@ -498,9 +495,9 @@ func (t *Tree) Destroy(tx *txn.Txn) error {
 		o.unlatchPage(f, latch.X)
 		t.pool.Unpin(f, false, 0)
 		t.preds.DropNode(pg)
-		t.quarantinePage(pg)
 	}
 	tx.EndNTA()
+	t.drain(pages...)
 	t.Close() // release the anchor pin so the page can be reused
 	return nil
 }

@@ -128,11 +128,9 @@ func TestHotLeafEvictionRegression(t *testing.T) {
 					if err := e.tree.Insert(tx, btree.EncodeKey(k), rid); err != nil {
 						t.Errorf("insert %d: %v", k, err)
 						tx.Abort()
-						e.tree.TxnFinished(tx.ID())
 						return
 					}
 					tx.Commit()
-					e.tree.TxnFinished(tx.ID())
 				}
 			}(w)
 		}

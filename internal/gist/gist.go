@@ -181,21 +181,17 @@ type Tree struct {
 	// beforeSplitEnd, when set (tests only), runs inside every split SMO
 	// just before its nested top action ends.
 	beforeSplitEnd func()
+	// beforeLeafLatch, when set (tests only), runs in the insert descent
+	// with the target leaf pinned, just before the leaf is X-latched.
+	beforeLeafLatch func(leaf page.PageID)
 
-	// Epoch-based drain (KL80, §7.2): deallocated pages are quarantined
-	// until every operation active at unlink time has finished, so even
-	// an operation that raced past the signaling-lock check can still
-	// read the empty unlinked node safely.
-	epochMu    sync.Mutex
-	epoch      uint64
-	activeOps  map[uint64]uint64 // op id -> start epoch
-	nextOpID   uint64
+	// The drain of [KL80] (§7.2): an unlinked page is quarantined until
+	// every transaction active at unlink time has ended, so any pointer
+	// to it a transaction obtained before the unlink — on a traversal
+	// stack or in a cursor's savepoint mark — still reaches the empty
+	// node, never a reused page.
+	qmu        sync.Mutex
 	quarantine []pendingFree
-
-	// gcPinned tracks leaves whose signaling lock must survive until
-	// the owning transaction ends (the insert target-leaf rule, §7.2).
-	pinMu  sync.Mutex
-	pinned map[page.TxnID]map[page.PageID]bool
 
 	// rootCache memoizes the last validated (anchor seqlock version, root
 	// pointer) pair. An optimistic root read whose current anchor version
@@ -208,8 +204,8 @@ type Tree struct {
 }
 
 type pendingFree struct {
-	pg    page.PageID
-	epoch uint64
+	pg   page.PageID
+	mark txn.Horizon // transaction-id high-water mark at unlink time
 }
 
 // rootCacheEntry pairs a root pointer with the anchor-frame seqlock
@@ -324,15 +320,13 @@ func (t *Tree) Close() {
 
 func newTree(pool *buffer.Pool, tm *txn.Manager, cfg Config) *Tree {
 	t := &Tree{
-		ops:       cfg.Ops,
-		pool:      pool,
-		tm:        tm,
-		log:       tm.Log(),
-		locks:     tm.Locks(),
-		preds:     tm.Predicates(),
-		cfg:       cfg,
-		activeOps: make(map[uint64]uint64),
-		pinned:    make(map[page.TxnID]map[page.PageID]bool),
+		ops:   cfg.Ops,
+		pool:  pool,
+		tm:    tm,
+		log:   tm.Log(),
+		locks: tm.Locks(),
+		preds: tm.Predicates(),
+		cfg:   cfg,
 	}
 	t.registerUndo()
 	return t
@@ -345,16 +339,13 @@ func (t *Tree) Anchor() page.PageID { return t.anchor }
 func (t *Tree) counter() page.LSN { return t.log.LastLSN() }
 
 // op is the per-operation context: it carries the owning transaction and
-// the caller's context.Context, tracks held latches for the
-// no-latch-across-I/O assertion, participates in the epoch drain, and
-// remembers which nodes it holds signaling locks on.
+// the caller's context.Context, and tracks held latches for the
+// no-latch-across-I/O assertion.
 type op struct {
 	t       *Tree
 	tx      *txn.Txn
 	ctx     context.Context // nil = never cancelled
-	id      uint64
 	latches int
-	signals map[page.PageID]bool // signaling locks held by this operation
 
 	// smoHeld releases the ancestor latches an open split SMO keeps until
 	// its nested top action has ended (see splitSMO).
@@ -383,7 +374,7 @@ type op struct {
 	visits    int32  // pages fetched
 }
 
-// opEnter registers an operation with the epoch tracker.
+// opEnter starts an operation of tx on the tree.
 func (t *Tree) opEnter(tx *txn.Txn) *op {
 	return t.opEnterCtx(nil, tx)
 }
@@ -392,12 +383,7 @@ func (t *Tree) opEnter(tx *txn.Txn) *op {
 // it only at safe points (o.check) and cancellable waits, never inside a
 // nested top action.
 func (t *Tree) opEnterCtx(ctx context.Context, tx *txn.Txn) *op {
-	t.epochMu.Lock()
-	t.nextOpID++
-	id := t.nextOpID
-	t.activeOps[id] = t.epoch
-	t.epochMu.Unlock()
-	return &op{t: t, tx: tx, ctx: ctx, id: id, signals: make(map[page.PageID]bool)}
+	return &op{t: t, tx: tx, ctx: ctx}
 }
 
 // check is the safe-point cancellation test: it returns the context's error
@@ -465,11 +451,9 @@ func (o *op) finishTrace() {
 	o.kind = ""
 }
 
-// exit deregisters the operation, releases its remaining signaling locks
-// (except those pinned until transaction end), and frees quarantined pages
-// whose drain condition is now met.
+// exit ends the operation: it folds the operation's trace and optimistic-
+// read tallies into the shared registries and returns its snapshot page.
 func (o *op) exit() {
-	t := o.t
 	if stats.Enabled && o.kind != "" {
 		o.finishTrace()
 	}
@@ -481,108 +465,41 @@ func (o *op) exit() {
 		snapPool.Put(o.snap)
 		o.snap = nil
 	}
-	for pg := range o.signals {
-		o.releaseSignal(pg)
+}
+
+// drain adds pgs, just unlinked, to the quarantine, tagged with the
+// current transaction-id high-water mark, and frees every quarantined page
+// whose mark no live transaction is at or below: each transaction that
+// was active when that page was unlinked has ended, and one begun since
+// cannot reach it — the parent entry is gone, and a rightlink chase only
+// follows links set by splits after the traversal's memorized counter.
+// Node deletion, undo of a page allocation and Destroy call it with the
+// pages they unlink, each GC pass with none.
+func (t *Tree) drain(pgs ...page.PageID) {
+	t.qmu.Lock()
+	if len(pgs) == 0 && len(t.quarantine) == 0 {
+		t.qmu.Unlock()
+		return
 	}
-	t.epochMu.Lock()
-	delete(t.activeOps, o.id)
-	minEpoch := t.epoch
-	for _, e := range t.activeOps {
-		if e < minEpoch {
-			minEpoch = e
-		}
+	mark, oldest := t.tm.TxnHorizon()
+	for _, pg := range pgs {
+		t.quarantine = append(t.quarantine, pendingFree{pg: pg, mark: mark})
 	}
 	var free []page.PageID
 	rest := t.quarantine[:0]
 	for _, pf := range t.quarantine {
-		if pf.epoch < minEpoch {
+		if pf.mark.Below(oldest) {
 			free = append(free, pf.pg)
 		} else {
 			rest = append(rest, pf)
 		}
 	}
 	t.quarantine = rest
-	t.epochMu.Unlock()
+	t.qmu.Unlock()
 	for _, pg := range free {
 		// Best effort; the page is already unlinked and logged free.
 		_ = t.pool.Deallocate(pg)
 	}
-}
-
-// quarantinePage defers physical reuse of an unlinked page until all
-// operations active now have finished.
-func (t *Tree) quarantinePage(pg page.PageID) {
-	t.epochMu.Lock()
-	t.epoch++
-	t.quarantine = append(t.quarantine, pendingFree{pg: pg, epoch: t.epoch})
-	t.epochMu.Unlock()
-}
-
-// signal takes the signaling S lock on a node on behalf of the operation's
-// transaction (set when a pointer to the node is pushed on the stack,
-// §7.2). Signaling locks are S locks that only conflict with a node
-// deleter's X lock, which the deleter takes with TryLock only after it has
-// latched the parent, and holds for an unlink during which it waits for
-// nothing: a signal waits at most that long, even when its caller holds a
-// latch.
-func (o *op) signal(pg page.PageID) {
-	if o.signals[pg] {
-		return
-	}
-	if err := o.t.locks.Lock(o.tx.ID(), lock.ForNode(pg), lock.S); err != nil {
-		// Cannot happen: the deleter a signal waits for is itself
-		// waiting for nothing, so the wait closes no cycle.
-		panic(fmt.Sprintf("gist: signaling lock: %v", err))
-	}
-	o.signals[pg] = true
-}
-
-// releaseSignal drops a signaling lock unless a savepoint or the insert
-// target-leaf rule pinned it until transaction end.
-func (o *op) releaseSignal(pg page.PageID) {
-	if !o.signals[pg] {
-		return
-	}
-	delete(o.signals, pg)
-	t := o.t
-	t.pinMu.Lock()
-	pinnedSet := t.pinned[o.tx.ID()]
-	isPinned := pinnedSet != nil && pinnedSet[pg]
-	t.pinMu.Unlock()
-	if isPinned {
-		return
-	}
-	// Savepoint rule (§10.2): signaling locks existing when a savepoint
-	// was established must be retained for cursor restoration.
-	if len(o.tx.Savepoints()) > 0 {
-		return
-	}
-	t.locks.Unlock(o.tx.ID(), lock.ForNode(pg))
-}
-
-// pinSignal marks a node's signaling lock as retained until the owning
-// transaction terminates (the insert target-leaf rule, §7.2: releasing it
-// early would let the leaf vanish while the transaction's logical undo
-// might still need to walk its rightlink chain).
-func (o *op) pinSignal(pg page.PageID) {
-	t := o.t
-	t.pinMu.Lock()
-	set := t.pinned[o.tx.ID()]
-	if set == nil {
-		set = make(map[page.PageID]bool)
-		t.pinned[o.tx.ID()] = set
-	}
-	set[pg] = true
-	t.pinMu.Unlock()
-}
-
-// TxnFinished releases bookkeeping for a finished transaction. The lock
-// manager has already dropped its locks; this clears the pin table. The
-// facade calls it after commit/abort.
-func (t *Tree) TxnFinished(id page.TxnID) {
-	t.pinMu.Lock()
-	delete(t.pinned, id)
-	t.pinMu.Unlock()
 }
 
 // fetch pins a page with exact no-latch-during-I/O accounting: a disk read
@@ -684,13 +601,11 @@ func (o *op) blockOnPredicates(conflicts []*predicate.Predicate) error {
 // (logical undo locates entries by RID, never by predicate semantics).
 func RegisterRecoveryHandlers(tm *txn.Manager, pool *buffer.Pool) {
 	t := &Tree{
-		pool:      pool,
-		tm:        tm,
-		log:       tm.Log(),
-		locks:     tm.Locks(),
-		preds:     tm.Predicates(),
-		activeOps: make(map[uint64]uint64),
-		pinned:    make(map[page.TxnID]map[page.PageID]bool),
+		pool:  pool,
+		tm:    tm,
+		log:   tm.Log(),
+		locks: tm.Locks(),
+		preds: tm.Predicates(),
 	}
 	t.registerUndo()
 }

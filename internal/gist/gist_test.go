@@ -78,7 +78,6 @@ func (e *env) put(k int64) page.RID {
 	if err := tx.Commit(); err != nil {
 		e.t.Fatal(err)
 	}
-	e.tree.TxnFinished(tx.ID())
 	return rid
 }
 
@@ -279,7 +278,6 @@ func TestAbortInsertRollsBackTree(t *testing.T) {
 	if err := tx.Abort(); err != nil {
 		t.Fatal(err)
 	}
-	e.tree.TxnFinished(tx.ID())
 
 	rep := e.checkTree()
 	if rep.Entries != 20 {
@@ -309,7 +307,6 @@ func TestAbortSurvivesSplitByOthers(t *testing.T) {
 	if err := tx.Abort(); err != nil {
 		t.Fatal(err)
 	}
-	e.tree.TxnFinished(tx.ID())
 	rep := e.checkTree()
 	if rep.Entries != 10 {
 		t.Errorf("entries = %d, want 10", rep.Entries)
@@ -338,7 +335,6 @@ func TestLogicalDeleteVisibilityAndGC(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	e.tree.TxnFinished(tx.ID())
 
 	// The entry is still physically present (marked) but not returned.
 	rep := e.checkTree()
@@ -386,7 +382,6 @@ func TestAbortDeleteRestoresEntry(t *testing.T) {
 	if err := tx.Abort(); err != nil {
 		t.Fatal(err)
 	}
-	e.tree.TxnFinished(tx.ID())
 	tx2 := e.begin()
 	defer tx2.Commit()
 	if got := e.search(tx2, 9, 9); len(got) != 1 {
@@ -422,7 +417,6 @@ func TestUniqueInsertDuplicate(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	e.tree.TxnFinished(tx.ID())
 
 	tx2 := e.begin()
 	rid2, _ := e.heap.Insert(tx2, []byte("second"))
@@ -436,7 +430,6 @@ func TestUniqueInsertDuplicate(t *testing.T) {
 		t.Fatalf("second try: %v", err)
 	}
 	tx2.Abort()
-	e.tree.TxnFinished(tx2.ID())
 
 	// Different key succeeds.
 	tx3 := e.begin()
@@ -445,7 +438,6 @@ func TestUniqueInsertDuplicate(t *testing.T) {
 		t.Fatal(err)
 	}
 	tx3.Commit()
-	e.tree.TxnFinished(tx3.ID())
 }
 
 func TestOpenExistingTree(t *testing.T) {
@@ -503,7 +495,6 @@ func TestRepeatableReadKeepsLocksAndPredicates(t *testing.T) {
 		t.Error("RepeatableRead left no predicate")
 	}
 	tx.Commit()
-	e.tree.TxnFinished(tx.ID())
 	if len(e.preds.PredicatesOf(tx.ID())) != 0 {
 		t.Error("predicates survived commit")
 	}

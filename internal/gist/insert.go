@@ -67,7 +67,7 @@ func (o *op) insert(key []byte, rid page.RID) error {
 	if t.needsSplit(&leafF.Page, entry.EncodedLen(true)) {
 		// Passing-through garbage collection (§7.1) may free space and
 		// avoid the split entirely.
-		o.gcLeafLocked(leafF, stack)
+		o.gcLeafLocked(leafF, stack, false)
 		if t.needsSplit(&leafF.Page, entry.EncodedLen(true)) {
 			newLeaf, serr := o.splitSMO(leafF, stack, key)
 			if serr != nil {
@@ -109,11 +109,6 @@ func (o *op) insert(key []byte, rid page.RID) error {
 	insPred := t.preds.New(o.tx.ID(), predicate.Insert, append([]byte(nil), key...))
 	ahead := t.preds.Attach(insPred, leafF.ID(), t.keyConflictsWith(key))
 
-	// The signaling lock on the target leaf is retained until the end of
-	// the transaction: logical undo may need to re-walk this leaf's
-	// rightlink chain (§7.2).
-	o.pinSignal(leafF.ID())
-
 	o.unlatchPage(leafF, latch.X)
 	t.pool.Unpin(leafF, true, lsn)
 
@@ -146,6 +141,9 @@ func (o *op) releasePath(stack []pathEntry) {
 // evaluating the whole rightlink chain delimited by the memorized counter
 // value (Figure 4's locateLeaf). The returned leaf frame is X-latched and
 // pinned; the returned stack holds every ancestor pinned (not latched).
+// A leaf that node deletion unlinked after the descent read its parent
+// entry is found FlagDeallocated under the X latch: an entry installed
+// there would be unreachable, so the descent starts again from the root.
 func (o *op) locateLeaf(key []byte) (*buffer.Frame, []pathEntry, error) {
 	t := o.t
 	// Memorize the counter BEFORE reading the root pointer: a root split
@@ -159,7 +157,6 @@ func (o *op) locateLeaf(key []byte) (*buffer.Frame, []pathEntry, error) {
 	}
 	var stack []pathEntry
 	cur := root
-	o.signal(cur)
 	for {
 		// Node-visit boundary: nothing latched, no NTA open; the path pins
 		// are released by the caller's releasePath on error return.
@@ -184,6 +181,9 @@ func (o *op) locateLeaf(key []byte) (*buffer.Frame, []pathEntry, error) {
 			cur, curNSN = child, next
 			continue
 		}
+		if t.beforeLeafLatch != nil {
+			t.beforeLeafLatch(cur)
+		}
 		o.latchPage(f, latch.X)
 		if f.Page.NSN() > curNSN {
 			// Missed split(s): pick the minimal-penalty leaf in the
@@ -193,7 +193,17 @@ func (o *op) locateLeaf(key []byte) (*buffer.Frame, []pathEntry, error) {
 				return nil, nil, err
 			}
 		}
-		return f, stack, nil
+		if f.Page.Flags()&page.FlagDeallocated == 0 {
+			return f, stack, nil
+		}
+		o.unlatchPage(f, latch.X)
+		t.pool.Unpin(f, false, 0)
+		o.releasePath(stack)
+		stack = nil
+		curNSN = t.counter()
+		if cur, err = o.rootID(); err != nil {
+			return nil, nil, err
+		}
 	}
 }
 
@@ -220,7 +230,6 @@ func (o *op) bestInChain(f *buffer.Frame, mode latch.Mode, memorized page.LSN, k
 		if err := o.check(); err != nil {
 			return nil, err
 		}
-		o.signal(next)
 		g, err := o.fetch(next)
 		if err != nil {
 			return nil, fmt.Errorf("gist: chain fetch %d: %w", next, err)
@@ -264,8 +273,12 @@ func (t *Tree) minPenaltySlot(p *page.Page, key []byte) int {
 }
 
 // chainPenalty scores a whole node as an insertion target: the cost of
-// expanding the node's computed BP to cover the key.
+// expanding the node's computed BP to cover the key. An unlinked node
+// takes nothing.
 func (t *Tree) chainPenalty(p *page.Page, key []byte) float64 {
+	if p.Flags()&page.FlagDeallocated != 0 {
+		return math.Inf(1)
+	}
 	bp := t.computedBP(p)
 	if bp == nil {
 		return 0 // empty node accepts anything for free
@@ -310,7 +323,6 @@ func (o *op) ascendToParent(stack []pathEntry, child page.PageID, childLevel uin
 			// stale). Fall back to the full search.
 			return o.findParentSlow(child, childLevel)
 		}
-		o.signal(next)
 		g, ferr := o.fetch(next)
 		if ferr != nil {
 			return nil, 0, false, ferr
@@ -617,7 +629,7 @@ func (o *op) splitNode(f *buffer.Frame, stack []pathEntry, child page.PageID, ex
 	t.pool.MarkDirty(newF, rec.LSN)
 
 	// Replicate predicate attachments consistent with the new node's BP
-	// (§4.3 case 1) and the signaling locks (§7.2).
+	// (§4.3 case 1).
 	newBP, origBP := t.computedBP(&newF.Page), t.computedBP(&f.Page)
 	if extra != nil {
 		if f.Page.FindChild(child) >= 0 {
@@ -635,7 +647,6 @@ func (o *op) splitNode(f *buffer.Frame, stack []pathEntry, child page.PageID, ex
 		}
 		return true // insert predicates: keep conservatively
 	})
-	t.locks.CopyHolders(lock.ForNode(f.ID()), lock.ForNode(newF.ID()))
 
 	// Phase 3: install the downlink (or grow the tree).
 	if isRoot {

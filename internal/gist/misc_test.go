@@ -37,11 +37,9 @@ func TestHotLeafContention(t *testing.T) {
 				if err := e.tree.Insert(tx, btree.EncodeKey(k), rid); err != nil {
 					t.Errorf("insert %d: %v", k, err)
 					tx.Abort()
-					e.tree.TxnFinished(tx.ID())
 					return
 				}
 				tx.Commit()
-				e.tree.TxnFinished(tx.ID())
 			}
 		}(w)
 	}
@@ -71,7 +69,6 @@ func TestReadCommittedScanBlocksOnWriter(t *testing.T) {
 			return
 		}
 		tx.Commit()
-		e.tree.TxnFinished(tx.ID())
 		done <- len(rs)
 	}()
 	select {
@@ -80,7 +77,6 @@ func TestReadCommittedScanBlocksOnWriter(t *testing.T) {
 	case <-time.After(100 * time.Millisecond):
 	}
 	writer.Commit()
-	e.tree.TxnFinished(writer.ID())
 	select {
 	case n := <-done:
 		if n != 2 {
@@ -102,7 +98,6 @@ func TestReadCommittedScanSkipsCommittedDelete(t *testing.T) {
 		t.Fatal(err)
 	}
 	tx.Commit()
-	e.tree.TxnFinished(tx.ID())
 
 	tx2 := e.begin()
 	defer tx2.Commit()
@@ -131,20 +126,34 @@ func TestTreeCloseReleasesAnchorPin(t *testing.T) {
 	}
 }
 
+// TestOpsAccessorAndDrain: Ops returns the extension, and DrainQuarantine
+// (the forced drain DropIndex runs) frees a page node deletion left
+// quarantined — the GC transaction that unlinked it was live at unlink
+// time, so the page outlives that transaction's commit until a drain.
 func TestOpsAccessorAndDrain(t *testing.T) {
-	e := newEnv(t, gist.Config{})
+	e := newEnv(t, gist.Config{MaxEntries: 4})
 	if _, ok := e.tree.Ops().(btree.Ops); !ok {
 		t.Errorf("Ops() = %T", e.tree.Ops())
 	}
-	// DrainQuarantine with no quarantined pages and no ops: no-op.
-	e.tree.DrainQuarantine()
-	// With quarantined pages (from node deletion): force one.
-	var rids []struct {
-		k int64
-		r gist.SearchResult
+	e.tree.DrainQuarantine() // nothing quarantined: a no-op
+	for i := 0; i < 9; i++ {
+		e.put(int64(i))
 	}
-	_ = rids
+	keys, rids := e.leafEntries(e.checkTree().LeafIDs[0])
+	e.deleteAll(keys, rids)
+	e.gcAll()
+	if n := e.tree.Stats.NodeDeletes.Load(); n != 1 {
+		t.Fatalf("node deletes = %d, want 1", n)
+	}
+	allocated := e.disk.NumAllocated()
+	if q := gist.Quarantined(e.tree); q != 1 {
+		t.Fatalf("quarantined = %d, want 1", q)
+	}
 	e.tree.DrainQuarantine()
+	if q := gist.Quarantined(e.tree); q != 0 || e.disk.NumAllocated() != allocated-1 {
+		t.Errorf("after the drain: quarantined %d, allocated %d, want 0, %d", q, e.disk.NumAllocated(), allocated-1)
+	}
+	e.checkTree()
 }
 
 // flakyOps wraps btree.Ops with a PickSplit that fails (returns an invalid
@@ -180,7 +189,6 @@ func TestRuntimeSMOFailureRollsBack(t *testing.T) {
 	if err := tx.Abort(); err != nil {
 		t.Fatalf("abort after failed SMO: %v", err)
 	}
-	e.tree.TxnFinished(tx.ID())
 
 	// The tree is intact and fully operational; the next split works.
 	rep := e.checkTree()

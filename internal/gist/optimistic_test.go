@@ -46,14 +46,12 @@ func TestOptimisticReaderVsSplits(t *testing.T) {
 				if err := e.tree.Insert(tx, btree.EncodeKey(k), rid); err != nil {
 					t.Errorf("insert %d: %v", k, err)
 					tx.Abort()
-					e.tree.TxnFinished(tx.ID())
 					continue
 				}
 				if err := tx.Commit(); err != nil {
 					t.Error(err)
 					return
 				}
-				e.tree.TxnFinished(tx.ID())
 				published.Store(k, true)
 			}
 		}(w)
@@ -80,7 +78,6 @@ func TestOptimisticReaderVsSplits(t *testing.T) {
 					if serr != nil {
 						t.Errorf("scan: %v", serr)
 						tx.Abort()
-						e.tree.TxnFinished(tx.ID())
 						return
 					}
 					got = countKeys(rs)
@@ -89,20 +86,17 @@ func TestOptimisticReaderVsSplits(t *testing.T) {
 					if cerr != nil {
 						t.Errorf("open cursor: %v", cerr)
 						tx.Abort()
-						e.tree.TxnFinished(tx.ID())
 						return
 					}
 					rs, derr := c.All()
 					if derr != nil {
 						t.Errorf("cursor drain: %v", derr)
 						tx.Abort()
-						e.tree.TxnFinished(tx.ID())
 						return
 					}
 					got = countKeys(rs)
 				}
 				tx.Commit()
-				e.tree.TxnFinished(tx.ID())
 				for _, k := range expect {
 					if got[k] == 0 {
 						t.Errorf("scan missed key %d published before it started", k)
@@ -165,14 +159,12 @@ func TestOptimisticReaderVsDeleteGC(t *testing.T) {
 			if err := e.tree.Delete(tx, btree.EncodeKey(k), rids[k]); err != nil {
 				t.Errorf("delete %d: %v", k, err)
 				tx.Abort()
-				e.tree.TxnFinished(tx.ID())
 				return
 			}
 			if err := tx.Commit(); err != nil {
 				t.Error(err)
 				return
 			}
-			e.tree.TxnFinished(tx.ID())
 			deleted.Store(k, true)
 			if k%20 == 0 {
 				gcTx, err := e.tm.Begin()
@@ -183,14 +175,12 @@ func TestOptimisticReaderVsDeleteGC(t *testing.T) {
 				if err := e.tree.GCAll(gcTx); err != nil {
 					t.Errorf("gc: %v", err)
 					gcTx.Abort()
-					e.tree.TxnFinished(gcTx.ID())
 					return
 				}
 				if err := gcTx.Commit(); err != nil {
 					t.Error(err)
 					return
 				}
-				e.tree.TxnFinished(gcTx.ID())
 			}
 		}
 	}()
@@ -214,11 +204,9 @@ func TestOptimisticReaderVsDeleteGC(t *testing.T) {
 				if serr != nil {
 					t.Errorf("scan: %v", serr)
 					tx.Abort()
-					e.tree.TxnFinished(tx.ID())
 					return
 				}
 				tx.Commit()
-				e.tree.TxnFinished(tx.ID())
 				got := countKeys(rs)
 				for k, c := range got {
 					if c > 1 {
@@ -272,14 +260,12 @@ func TestOptimisticEvictionChurn(t *testing.T) {
 				if serr != nil {
 					t.Errorf("scan: %v", serr)
 					tx.Abort()
-					e.tree.TxnFinished(tx.ID())
 					return
 				}
 				if len(rs) != 10 {
 					t.Errorf("scan [%d,%d] = %d results, want 10", lo, lo+9, len(rs))
 				}
 				tx.Commit()
-				e.tree.TxnFinished(tx.ID())
 			}
 		}(r)
 	}
@@ -375,7 +361,6 @@ func TestOptimisticFallbackLadder(t *testing.T) {
 				} else {
 					err = tx.Commit()
 				}
-				e.tree.TxnFinished(tx.ID())
 				res <- out{got, err}
 			}()
 
@@ -425,7 +410,6 @@ func TestOptimisticCountersFlow(t *testing.T) {
 			t.Fatalf("search returned %d results, want 50", len(got))
 		}
 		tx.Commit()
-		e.tree.TxnFinished(tx.ID())
 	}
 	reads1 := latch.Metrics().Value("latch.opt_reads")
 	if reads1 <= reads0 {

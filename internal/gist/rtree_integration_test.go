@@ -37,7 +37,6 @@ func (e *env) putPoint(x, y float64) page.RID {
 	if err := tx.Commit(); err != nil {
 		e.t.Fatal(err)
 	}
-	e.tree.TxnFinished(tx.ID())
 	return rid
 }
 
@@ -46,7 +45,6 @@ func (e *env) queryRect(r rtree.Rect) []gist.SearchResult {
 	tx := e.begin()
 	defer func() {
 		tx.Commit()
-		e.tree.TxnFinished(tx.ID())
 	}()
 	rs, err := e.tree.Search(tx, rtree.EncodeRect(r), gist.ReadCommitted)
 	if err != nil {
@@ -121,7 +119,6 @@ func TestRTreeDeleteAndOverlappingDuplicates(t *testing.T) {
 		}
 	}
 	tx.Commit()
-	e.tree.TxnFinished(tx.ID())
 	got = e.queryRect(rtree.Rect{XMin: 49, YMin: 49, XMax: 51, YMax: 51})
 	if len(got) != 10 {
 		t.Fatalf("after deletes: got %d, want 10", len(got))
@@ -148,11 +145,9 @@ func TestRTreeConcurrentInsertAndQuery(t *testing.T) {
 				if err := e.tree.Insert(tx, rtree.EncodePoint(x, y), rid); err != nil {
 					t.Errorf("insert: %v", err)
 					tx.Abort()
-					e.tree.TxnFinished(tx.ID())
 					return
 				}
 				tx.Commit()
-				e.tree.TxnFinished(tx.ID())
 			}
 		}(w)
 	}
@@ -195,12 +190,10 @@ func TestRTreePhantomPrevention(t *testing.T) {
 	case <-chTimeout(100):
 	}
 	scanner.Commit()
-	e.tree.TxnFinished(scanner.ID())
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
 	tx.Commit()
-	e.tree.TxnFinished(tx.ID())
 }
 
 // chTimeout returns a channel that closes after ms milliseconds.
@@ -231,7 +224,6 @@ func TestStringKeysIntegration(t *testing.T) {
 			t.Fatalf("insert %q: %v", w, err)
 		}
 		tx.Commit()
-		e.tree.TxnFinished(tx.ID())
 		rids[w] = rid
 	}
 
@@ -272,7 +264,6 @@ func TestStringKeysIntegration(t *testing.T) {
 		t.Fatalf("range [kiwi,mango]: %d hits", len(rs))
 	}
 	tx.Commit()
-	e.tree.TxnFinished(tx.ID())
 
 	// Delete and unique insert.
 	tx2 := e.begin()
@@ -280,14 +271,12 @@ func TestStringKeysIntegration(t *testing.T) {
 		t.Fatal(err)
 	}
 	tx2.Commit()
-	e.tree.TxnFinished(tx2.ID())
 	tx3 := e.begin()
 	rid, _ := e.heap.Insert(tx3, []byte("dup"))
 	if err := e.tree.InsertUnique(tx3, strtree.EncodeKey([]byte("mango")), rid); !errors.Is(err, gist.ErrDuplicate) {
 		t.Fatalf("unique: %v", err)
 	}
 	tx3.Abort()
-	e.tree.TxnFinished(tx3.ID())
 
 	tx4 := e.begin()
 	defer tx4.Commit()

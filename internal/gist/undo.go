@@ -53,9 +53,10 @@ func (t *Tree) withPageX(pg page.PageID, fn func(p *page.Page) (page.LSN, error)
 // locateEntryForUndo walks the rightlink chain starting at the page
 // recorded in the log until it finds the leaf currently holding the entry
 // with the given RID. Between the original operation and the rollback the
-// tree may have split arbitrarily, so the chain — reachable precisely
-// because the operation's signaling lock kept it alive (§7.2) — is the only
-// reliable path back to the entry.
+// tree may have split arbitrarily, so the chain is the only reliable path
+// back to the entry. Its pages stay linked even once emptied: node
+// deletion keeps a leaf while a live transaction may still undo through it
+// (tryDeleteNode), which also holds at restart.
 func (t *Tree) locateEntryForUndo(start page.PageID, rid page.RID, pred []byte, deleted bool, fn func(p *page.Page, slot int) (page.LSN, error)) error {
 	cur := start
 	for cur != page.InvalidPage {
@@ -206,7 +207,7 @@ func (t *Tree) undoGetPage(r *wal.Record, tx *txn.Txn) error {
 	if err != nil {
 		return err
 	}
-	t.quarantinePage(r.Pg)
+	t.drain(r.Pg)
 	return nil
 }
 
@@ -249,16 +250,12 @@ func (t *Tree) undoRootChange(r *wal.Record, tx *txn.Txn) error {
 }
 
 // DrainQuarantine force-releases quarantined pages; callable only when no
-// tree operations are active (e.g. at the end of restart recovery).
+// transaction can still reach them (the tree is quiesced, e.g. dropped).
 func (t *Tree) DrainQuarantine() {
-	t.epochMu.Lock()
-	if len(t.activeOps) != 0 {
-		t.epochMu.Unlock()
-		return
-	}
+	t.qmu.Lock()
 	pending := t.quarantine
 	t.quarantine = nil
-	t.epochMu.Unlock()
+	t.qmu.Unlock()
 	for _, pf := range pending {
 		_ = t.pool.Deallocate(pf.pg)
 	}

@@ -32,15 +32,7 @@ package gist
 //     can hold garbage slot offsets that would panic the page accessors.
 //     openView hands out validated copies only.
 //
-//  4. Signaling locks on children (and chased rightlinks) are taken
-//     BEFORE the final valid(). A node deleter must X-latch the parent to
-//     unlink a child — bumping the version — so a validation that passes
-//     after our signal proves the child was still linked when the
-//     deleter's TryLock probe could first have seen our lock missing.
-//     Stray signals from failed attempts stay held until operation exit;
-//     they are S node locks whose only cost is delaying a node delete.
-//
-//  5. Record state read off a leaf view is only trusted after the final
+//  4. Record state read off a leaf view is only trusted after the final
 //     valid(): the record locks are granted after the copy, so a writer
 //     (e.g. an inserter aborting, or a deleter aborting and unmarking) may
 //     have slipped between copy and grant. Leaf results are committed into
@@ -52,6 +44,13 @@ package gist
 //     probe that grants nothing; under RepeatableRead the locks stay with
 //     the transaction either way, so a retried visit re-grants them
 //     instantly.
+//
+// A child pointer or rightlink taken from a valid view stays safe to visit
+// without any lock: node deletion unlinks only empty leaves, under the
+// parent's X latch (so a valid view saw the link still in place), and the
+// drain reuses no unlinked page before every transaction active at unlink
+// time has ended. A late visitor finds an empty node whose NSN and
+// rightlink are intact (§7.2).
 //
 // The buffer pool backs all of this by poisoning a frame's version when
 // the frame is remapped to a different page (eviction/recycle ABA); visits
@@ -193,7 +192,6 @@ func (o *op) visitInternal(f *buffer.Frame, se stackEntry, query []byte, stack [
 		if p.NSN() > se.nsn {
 			if rl := p.Rightlink(); rl != page.InvalidPage {
 				stack = append(stack, stackEntry{pg: rl, nsn: se.nsn})
-				o.signal(rl) // invariant 4
 				chased = true
 			}
 		}
@@ -205,7 +203,6 @@ func (o *op) visitInternal(f *buffer.Frame, se stackEntry, query []byte, stack [
 			if pred, ok := p.PredAt(i); ok && t.ops.Consistent(pred, query) {
 				child := p.ChildAt(i)
 				stack = append(stack, stackEntry{pg: child, nsn: childNSN})
-				o.signal(child) // invariant 4
 			}
 		}
 		if !v.valid() {
@@ -217,7 +214,6 @@ func (o *op) visitInternal(f *buffer.Frame, se stackEntry, query []byte, stack [
 			t.Stats.RightlinkChases.Add(1)
 		}
 		o.closeView(&v)
-		o.releaseSignal(se.pg)
 		t.pool.Unpin(f, false, 0)
 		return stack
 	}
@@ -283,7 +279,7 @@ func (c *Cursor) visitLeaf(v *nodeView, se stackEntry) (done bool, err error) {
 			// physical presence is exactly what gives us this chance to
 			// block (§7).
 			if !v.valid() {
-				c.rollback(base) // invariant 5
+				c.rollback(base) // invariant 4
 			}
 			o.closeView(v)
 			t.pool.Unpin(v.f, false, 0)
@@ -303,23 +299,16 @@ func (c *Cursor) visitLeaf(v *nodeView, se stackEntry) (done bool, err error) {
 		c.pending = append(c.pending, SearchResult{Key: append([]byte(nil), key...), RID: rid})
 		c.seen[rid] = true
 	}
-	rl := page.InvalidPage
-	if p.NSN() > se.nsn {
-		if rl = p.Rightlink(); rl != page.InvalidPage {
-			o.signal(rl) // invariant 4
-		}
-	}
 	if !v.valid() {
-		c.rollback(base) // invariant 5
+		c.rollback(base) // invariant 4
 		o.optRestarts++
 		return false, nil
 	}
-	if rl != page.InvalidPage {
+	if rl := p.Rightlink(); p.NSN() > se.nsn && rl != page.InvalidPage {
 		c.stack = append(c.stack, stackEntry{pg: rl, nsn: se.nsn})
 		t.Stats.RightlinkChases.Add(1)
 	}
 	o.closeView(v)
-	o.releaseSignal(se.pg)
 	t.pool.Unpin(v.f, false, 0)
 	return true, nil
 }
@@ -365,7 +354,6 @@ func (o *op) descend(f *buffer.Frame, pg page.PageID, curNSN page.LSN, key []byt
 			if t.cfg.ParentLSNOpt {
 				next = v.p.LSN()
 			}
-			o.signal(child) // invariant 4
 		}
 		if !v.valid() {
 			o.optRestarts++

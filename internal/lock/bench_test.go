@@ -19,7 +19,7 @@ func BenchmarkLockAcquireReleaseParallel(b *testing.B) {
 		txn := page.TxnID(id)
 		i := uint64(0)
 		for pb.Next() {
-			n := Name{Space: SpaceNode, Key: id<<20 | i%1024}
+			n := Name{Space: SpaceRecord, Key: id<<20 | i%1024}
 			if err := m.Lock(txn, n, X); err != nil {
 				b.Error(err)
 				return

@@ -54,7 +54,7 @@ func TestCancelRemovesWaiter(t *testing.T) {
 // empty and the name immediately reusable.
 func TestCancelGrantRace(t *testing.T) {
 	m := NewManager()
-	n := ForNode(7)
+	n := ForRID(page.RID{Page: 7})
 	for i := 0; i < 400; i++ {
 		holder := page.TxnID(i*3 + 1)
 		waiter := page.TxnID(i*3 + 2)
@@ -103,7 +103,7 @@ func TestCancelGrantRace(t *testing.T) {
 // be granted immediately rather than waiting for the holder to unlock.
 func TestCancelPromotesLaterWaiter(t *testing.T) {
 	m := NewManager()
-	n := ForNode(9)
+	n := ForRID(page.RID{Page: 9})
 	if err := m.Lock(1, n, S); err != nil {
 		t.Fatal(err)
 	}

@@ -85,31 +85,3 @@ func TestDeadlockAcrossStripes(t *testing.T) {
 	}
 	m.ReleaseAll(3)
 }
-
-// TestCopyHoldersAcrossStripes replicates signaling locks between two names
-// in different stripes, exercising the two-stripe index-order path.
-func TestCopyHoldersAcrossStripes(t *testing.T) {
-	m := NewManager()
-	src := ForNode(1)
-	dst := findNameInOtherStripe(t, m, src)
-
-	if err := m.Lock(7, src, S); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Lock(8, src, S); err != nil {
-		t.Fatal(err)
-	}
-	m.CopyHolders(src, dst)
-	for _, txn := range []page.TxnID{7, 8} {
-		if mode, ok := m.Holding(txn, dst); !ok || mode != S {
-			t.Errorf("txn %d on dst: mode %v held %v, want S held", txn, mode, ok)
-		}
-	}
-	// And the reverse direction (opposite stripe ordering).
-	m.CopyHolders(dst, src)
-	m.ReleaseAll(7)
-	m.ReleaseAll(8)
-	if hs := m.Holders(dst); len(hs) != 0 {
-		t.Errorf("dst holders after release = %v", hs)
-	}
-}

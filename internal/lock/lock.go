@@ -1,8 +1,7 @@
 // Package lock implements the transaction lock manager used by the hybrid
 // isolation mechanism of the paper: two-phase S/X locks on data records,
-// transaction-ID locks used to block "on a predicate" by blocking on the
-// predicate's owner transaction (§10.3), and signaling locks on tree nodes
-// that protect node deletion via the drain technique (§7.2).
+// and transaction-ID locks used to block "on a predicate" by blocking on the
+// predicate's owner transaction (§10.3).
 //
 // Unlike latches (package latch), locks live in a hash table keyed by a
 // logical name, are held to a transaction discipline, and participate in
@@ -14,8 +13,7 @@
 // own mutex, so the grant/release fast path on unrelated names never
 // serializes on a manager-wide lock. Per-transaction held-lock sets are
 // striped separately by transaction id; the locking discipline is always
-// name-stripe before held-stripe, and never two name-stripes at once
-// except in CopyHolders, which orders them by stripe index. Deadlock
+// name-stripe before held-stripe, and never two name-stripes at once. Deadlock
 // detection is the deliberate exception: it is a slow path that runs under
 // a single detector mutex and snapshots waits-for edges stripe by stripe —
 // detection is occasional and may serialize; the fast path must not.
@@ -64,9 +62,6 @@ const (
 	// SpaceRecord locks data records by RID (two-phase data record
 	// locking, §4.3).
 	SpaceRecord Space = iota
-	// SpaceNode holds signaling locks on tree nodes (§7.2). These are
-	// ordinary S locks as far as the manager is concerned.
-	SpaceNode
 	// SpaceTxn holds each transaction's self lock: a transaction takes
 	// an X lock on its own ID at start; another operation blocks "on
 	// that transaction" (e.g., on its predicate) by requesting S (§10.3).
@@ -84,8 +79,6 @@ func (n Name) String() string {
 	switch n.Space {
 	case SpaceRecord:
 		return fmt.Sprintf("rec:%d.%d", n.Key>>16, n.Key&0xFFFF)
-	case SpaceNode:
-		return fmt.Sprintf("node:%d", n.Key)
 	default:
 		return fmt.Sprintf("txn:%d", n.Key)
 	}
@@ -95,9 +88,6 @@ func (n Name) String() string {
 func ForRID(r page.RID) Name {
 	return Name{Space: SpaceRecord, Key: uint64(r.Page)<<16 | uint64(r.Slot)}
 }
-
-// ForNode returns the signaling-lock name of a tree node.
-func ForNode(id page.PageID) Name { return Name{Space: SpaceNode, Key: uint64(id)} }
 
 // ForTxn returns the self-lock name of a transaction.
 func ForTxn(id page.TxnID) Name { return Name{Space: SpaceTxn, Key: uint64(id)} }
@@ -119,8 +109,8 @@ type lockList struct {
 
 // detectGrace is how long a blocked request waits to be granted before it
 // pays for a full waits-for-graph detection pass. Most conflicts are
-// released within microseconds (a latch-length record lock, a signaling
-// lock during a short drain), so the stripe-by-stripe snapshot would be
+// released within microseconds (a latch-length record lock, a short
+// write), so the stripe-by-stripe snapshot would be
 // pure overhead for them; a real deadlock is stable and loses only the
 // grace period. Requests granted within the grace are counted in
 // lock.detect_skips. A variable so tests can widen or collapse the window.
@@ -429,9 +419,9 @@ func removeWaiterLocked(ll *lockList, w *waiter) bool {
 	return false
 }
 
-// TryLock attempts to acquire without waiting and reports success. Used by
-// node deletion to probe for signaling locks ("checks for signaling locks
-// by trying to acquire an X-mode lock", §7.2).
+// TryLock attempts to acquire without waiting and reports success. A leaf
+// scan uses it to take a record lock while it may hold a latch, waiting
+// (with nothing latched) only when it fails.
 func (m *Manager) TryLock(txn page.TxnID, n Name, mode Mode) bool {
 	st := m.stripeOf(n)
 	st.lock()
@@ -591,58 +581,6 @@ func (m *Manager) Holders(n Name) []page.TxnID {
 		out = append(out, t)
 	}
 	return out
-}
-
-// CopyHolders grants every current holder of src the same mode on dst, as
-// required when a node split must replicate the signaling locks of the
-// original node onto the new sibling (§7.2, §10.3). Holders that would
-// conflict on dst are skipped (cannot happen for the all-S signaling use).
-// The two stripes involved are locked in index order, the fixed discipline
-// for every two-stripe operation.
-func (m *Manager) CopyHolders(src, dst Name) {
-	ss, ds := m.stripeOf(src), m.stripeOf(dst)
-	first, second := ss, ds
-	if stripeIndex(m, ds) < stripeIndex(m, ss) {
-		first, second = ds, ss
-	}
-	first.lock()
-	if second != first {
-		second.lock()
-	}
-	defer func() {
-		if second != first {
-			second.mu.Unlock()
-		}
-		first.mu.Unlock()
-	}()
-
-	sl, ok := ss.table[src]
-	if !ok {
-		return
-	}
-	dl := ds.list(dst)
-	for txn, mode := range sl.granted {
-		if cur, held := dl.granted[txn]; held && covers(cur, mode) {
-			continue
-		}
-		if !canGrantLocked(dl, txn, mode) {
-			continue
-		}
-		dl.granted[txn] = mode
-		m.noteHeld(txn, dst, mode)
-	}
-	if len(dl.granted) == 0 && len(dl.queue) == 0 {
-		delete(ds.table, dst)
-	}
-}
-
-func stripeIndex(m *Manager, st *stripe) int {
-	for i := range m.stripes {
-		if &m.stripes[i] == st {
-			return i
-		}
-	}
-	return 0
 }
 
 // detectDeadlock reports whether start is on a cycle of the waits-for

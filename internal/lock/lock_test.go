@@ -32,7 +32,7 @@ func TestGrantAndReentrancy(t *testing.T) {
 
 func TestXExcludesS(t *testing.T) {
 	m := NewManager()
-	n := ForNode(5)
+	n := ForRID(page.RID{Page: 5})
 	if err := m.Lock(1, n, X); err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestUpgradeDeadlock(t *testing.T) {
 
 func TestTryLock(t *testing.T) {
 	m := NewManager()
-	n := ForNode(7)
+	n := ForRID(page.RID{Page: 7})
 	if !m.TryLock(1, n, S) {
 		t.Fatal("TryLock S on free name failed")
 	}
@@ -200,7 +200,7 @@ func TestTryLock(t *testing.T) {
 
 func TestReleaseAll(t *testing.T) {
 	m := NewManager()
-	names := []Name{ForNode(1), ForNode(2), ForRID(page.RID{Page: 1, Slot: 1})}
+	names := []Name{ForRID(page.RID{Page: 1}), ForTxn(2), ForRID(page.RID{Page: 1, Slot: 1})}
 	for _, n := range names {
 		if err := m.Lock(5, n, X); err != nil {
 			t.Fatal(err)
@@ -214,36 +214,6 @@ func TestReleaseAll(t *testing.T) {
 	}
 	// Idempotent.
 	m.ReleaseAll(5)
-}
-
-func TestCopyHoldersReplicatesSignalingLocks(t *testing.T) {
-	m := NewManager()
-	orig, sibling := ForNode(10), ForNode(11)
-	m.Lock(1, orig, S)
-	m.Lock(2, orig, S)
-	m.CopyHolders(orig, sibling)
-	holders := m.Holders(sibling)
-	if len(holders) != 2 {
-		t.Fatalf("sibling holders = %v", holders)
-	}
-	// Node deletion probe: X on sibling must fail while signaling locks
-	// exist and succeed after they drain.
-	if m.TryLock(9, sibling, X) {
-		t.Fatal("X acquired despite replicated signaling locks")
-	}
-	m.Unlock(1, sibling)
-	m.Unlock(2, sibling)
-	if !m.TryLock(9, sibling, X) {
-		t.Fatal("X refused after signaling locks drained")
-	}
-}
-
-func TestCopyHoldersEmptySource(t *testing.T) {
-	m := NewManager()
-	m.CopyHolders(ForNode(1), ForNode(2)) // no-op, no panic
-	if len(m.Holders(ForNode(2))) != 0 {
-		t.Error("phantom holders created")
-	}
 }
 
 func TestBlockOnTransactionLock(t *testing.T) {
@@ -275,7 +245,7 @@ func TestBlockOnTransactionLock(t *testing.T) {
 
 func TestAbortWaiter(t *testing.T) {
 	m := NewManager()
-	n := ForNode(3)
+	n := ForRID(page.RID{Page: 3})
 	m.Lock(1, n, X)
 	errc := make(chan error, 1)
 	go func() { errc <- m.Lock(2, n, X) }()
@@ -305,7 +275,7 @@ func TestConcurrentStress(t *testing.T) {
 		go func(id page.TxnID) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				n := ForNode(page.PageID(i % names))
+				n := ForRID(page.RID{Page: page.PageID(i % names)})
 				if err := m.Lock(id, n, X); err != nil {
 					t.Error(err)
 					return
@@ -326,9 +296,6 @@ func TestConcurrentStress(t *testing.T) {
 func TestNameStrings(t *testing.T) {
 	if s := ForRID(page.RID{Page: 1, Slot: 2}).String(); s != "rec:1.2" {
 		t.Errorf("rid name = %q", s)
-	}
-	if s := ForNode(3).String(); s != "node:3" {
-		t.Errorf("node name = %q", s)
 	}
 	if s := ForTxn(4).String(); s != "txn:4" {
 		t.Errorf("txn name = %q", s)

@@ -68,7 +68,7 @@ func TestProbeKeepsOwnHold(t *testing.T) {
 
 func TestProbeConflicts(t *testing.T) {
 	m := NewManager()
-	n := ForNode(9)
+	n := ForRID(page.RID{Page: 9})
 	if err := m.Lock(1, n, S); err != nil {
 		t.Fatal(err)
 	}

@@ -582,7 +582,6 @@ func (m *Manager) collectRefs(t *gist.Tree) ([]gist.LeafRef, error) {
 	if cerr := tx.Commit(); err == nil {
 		err = cerr
 	}
-	t.TxnFinished(tx.ID())
 	return refs, err
 }
 
@@ -596,7 +595,6 @@ func (m *Manager) gcBurst(t *gist.Tree, refs []gist.LeafRef) (int64, error) {
 	if cerr := tx.Commit(); err == nil {
 		err = cerr
 	}
-	t.TxnFinished(tx.ID())
 	n := t.Stats.GCEntries.Load() - before
 	if n > 0 {
 		m.gcReclaimed.Add(n)

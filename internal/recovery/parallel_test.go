@@ -138,7 +138,6 @@ func buildSequential(t *testing.T, seed int64) *world {
 				next++
 			}
 			tx.Commit()
-			w.tree.TxnFinished(tx.ID())
 		case op < 8 && len(live) > 2: // committed delete of the oldest keys
 			tx, _ := w.tm.Begin()
 			for j := 1 + rng.Intn(2); j > 0 && len(live) > 0; j-- {
@@ -149,7 +148,6 @@ func buildSequential(t *testing.T, seed int64) *world {
 				}
 			}
 			tx.Commit()
-			w.tree.TxnFinished(tx.ID())
 		case op < 9: // savepoint with partial rollback
 			tx, _ := w.tm.Begin()
 			rids[next] = w.putIn(tx, next)
@@ -159,14 +157,12 @@ func buildSequential(t *testing.T, seed int64) *world {
 			w.putIn(tx, next+1000)
 			tx.RollbackTo("sp")
 			tx.Commit()
-			w.tree.TxnFinished(tx.ID())
 		default: // GC sweep
 			gc, _ := w.tm.Begin()
 			if err := w.tree.GCAll(gc); err != nil {
 				t.Fatal(err)
 			}
 			gc.Commit()
-			w.tree.TxnFinished(gc.ID())
 		}
 	}
 	if seed%2 == 1 { // an in-flight loser at the crash

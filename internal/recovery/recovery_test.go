@@ -111,7 +111,6 @@ func (w *world) put(k int64) page.RID {
 	if err := tx.Commit(); err != nil {
 		w.t.Fatal(err)
 	}
-	w.tree.TxnFinished(tx.ID())
 	return rid
 }
 
@@ -135,7 +134,6 @@ func (w *world) keys(lo, hi int64) []int64 {
 	}
 	defer func() {
 		tx.Commit()
-		w.tree.TxnFinished(tx.ID())
 	}()
 	rs, err := w.tree.Search(tx, btree.EncodeRange(lo, hi), gist.ReadCommitted)
 	if err != nil {
@@ -454,13 +452,11 @@ func TestTable1Matrix(t *testing.T) {
 			}
 		}
 		tx.Commit()
-		w.tree.TxnFinished(tx.ID())
 		gcTx, _ := w.tm.Begin()
 		if err := w.tree.GCAll(gcTx); err != nil {
 			t.Fatal(err)
 		}
 		gcTx.Commit()
-		w.tree.TxnFinished(gcTx.ID())
 		return w
 	}
 
@@ -584,7 +580,6 @@ func TestFuzzedCrashPoints(t *testing.T) {
 		w.putIn(tx, 201)
 		tx.RollbackTo("sp")
 		tx.Commit()
-		w.tree.TxnFinished(tx.ID())
 		// Deletes + GC (garbage collection, node deletion records).
 		tx2, _ := w.tm.Begin()
 		for i := 0; i < 10; i++ {
@@ -593,13 +588,11 @@ func TestFuzzedCrashPoints(t *testing.T) {
 			}
 		}
 		tx2.Commit()
-		w.tree.TxnFinished(tx2.ID())
 		gc, _ := w.tm.Begin()
 		if err := w.tree.GCAll(gc); err != nil {
 			t.Fatal(err)
 		}
 		gc.Commit()
-		w.tree.TxnFinished(gc.ID())
 		// An in-flight loser at the end.
 		loser, _ := w.tm.Begin()
 		w.putIn(loser, 500)
@@ -751,7 +744,6 @@ func TestCheckpointRespectsActiveTxnBound(t *testing.T) {
 	if err := longTx.Abort(); err != nil {
 		t.Fatalf("abort after checkpoint: %v", err)
 	}
-	w.tree.TxnFinished(longTx.ID())
 	if got := w.keys(500, 500); len(got) != 0 {
 		t.Error("rolled-back key visible")
 	}
@@ -783,13 +775,11 @@ func TestRedoStatsAllDurableExact(t *testing.T) {
 		}
 	}
 	tx.Commit()
-	w.tree.TxnFinished(tx.ID())
 	gcTx, _ := w.tm.Begin()
 	if err := w.tree.GCAll(gcTx); err != nil {
 		t.Fatal(err)
 	}
 	gcTx.Commit()
-	w.tree.TxnFinished(gcTx.ID())
 	if _, err := recovery.Checkpoint(w.tm, w.pool, w.disk); err != nil {
 		t.Fatal(err)
 	}
@@ -817,4 +807,58 @@ func TestRedoStatsAllDurableExact(t *testing.T) {
 		t.Fatalf("keys = %d, want 37", len(got))
 	}
 	nw.checkTree()
+}
+
+// TestRecoverLoserWhoseRecordedLeafWasEmptied: a loser's insert record
+// names a leaf that a split moved the entry out of, and that GC then
+// emptied before the crash. Restart undo starts its rightlink walk at that
+// leaf, so GC must not have unlinked it (redo of a Free-Page record frees
+// the page at once): the undo succeeds, and a GC pass after restart
+// unlinks the leaf.
+func TestRecoverLoserWhoseRecordedLeafWasEmptied(t *testing.T) {
+	w := newWorld(t, gist.Config{MaxEntries: 4})
+	rid10, rid20 := w.put(10), w.put(20)
+	w.put(30)
+	loser, _ := w.tm.Begin()
+	w.putIn(loser, 25)
+	w.put(40) // splits the leaf: 25 and 30 move to the new right sibling
+	del, _ := w.tm.Begin()
+	for k, rid := range map[int64]page.RID{10: rid10, 20: rid20} {
+		if err := w.tree.Delete(del, btree.EncodeKey(k), rid); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := del.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	w.gcAll()
+	w.log.FlushAll()
+
+	nw, stats := w.crashAndRecover(0)
+	if stats.Losers != 1 || stats.Undone != 1 {
+		t.Errorf("losers=%d undone=%d, want 1,1", stats.Losers, stats.Undone)
+	}
+	if got := nw.keys(0, 100); fmt.Sprint(got) != "[30 40]" {
+		t.Errorf("keys after recovery = %v, want [30 40]", got)
+	}
+	nw.gcAll()
+	if n := nw.tree.Stats.NodeDeletes.Load(); n != 1 {
+		t.Errorf("node deletes after restart = %d, want 1", n)
+	}
+	nw.checkTree()
+}
+
+// gcAll runs one full GC pass in its own committed transaction.
+func (w *world) gcAll() {
+	w.t.Helper()
+	tx, err := w.tm.Begin()
+	if err != nil {
+		w.t.Fatal(err)
+	}
+	if err := w.tree.GCAll(tx); err != nil {
+		w.t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		w.t.Fatal(err)
+	}
 }

@@ -223,6 +223,38 @@ func (m *Manager) IsActive(id page.TxnID) bool {
 	return ok
 }
 
+// Horizon is a pair of transaction ids, one for each id space: logged
+// transactions, and read-only ones (from ReadOnlyIDBase up). Ids within a
+// space only grow, so a transaction that begins after a high-water mark was
+// taken has a greater id than the mark in its space.
+type Horizon struct{ RW, RO page.TxnID }
+
+// Below reports whether both of h's ids are below o's.
+func (h Horizon) Below(o Horizon) bool { return h.RW < o.RW && h.RO < o.RO }
+
+// TxnHorizon returns the high-water mark of assigned ids (last) and the
+// smallest id of a live transaction (oldest, the maximal id in a space with
+// none). A transaction that was live when a mark was taken has an id at or
+// below it, so once mark.Below(oldest) every such transaction has ended:
+// the test the tree's node-deletion drain (§7.2) waits for.
+func (m *Manager) TxnHorizon() (last, oldest Horizon) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	last = Horizon{
+		RW: page.TxnID(m.nextID.Load()),
+		RO: ReadOnlyIDBase + page.TxnID(m.roNextID.Load()),
+	}
+	oldest = Horizon{RW: ^page.TxnID(0), RO: ^page.TxnID(0)}
+	for id, tx := range m.active {
+		if tx.readOnly {
+			oldest.RO = min(oldest.RO, id)
+		} else {
+			oldest.RW = min(oldest.RW, id)
+		}
+	}
+	return last, oldest
+}
+
 // MinActiveFirstLSN returns the smallest first-LSN among live transactions,
 // or 0 when none are active. The log may not be truncated at or past this
 // point: rollback needs every loser's backchain down to its Begin record.
@@ -316,10 +348,6 @@ type Txn struct {
 	ntaStart   page.LSN // lastLSN when the open NTA began, 0 if none
 	ntaOpen    bool
 
-	// vals lets subsystems (the tree layer) stash per-transaction state,
-	// such as the set of signaling locks pinned by savepoints.
-	vals map[any]any
-
 	// durableHook, when set, runs after a commit that went pending
 	// (ErrCommitPending) finally becomes durable and finishCommit has
 	// released the transaction's locks. The synchronous commit paths never
@@ -375,23 +403,6 @@ func (tx *Txn) LastLSN() page.LSN {
 // Manager returns the owning transaction manager.
 func (tx *Txn) Manager() *Manager { return tx.mgr }
 
-// SetValue stashes subsystem state on the transaction.
-func (tx *Txn) SetValue(key, val any) {
-	tx.mu.Lock()
-	defer tx.mu.Unlock()
-	if tx.vals == nil {
-		tx.vals = make(map[any]any)
-	}
-	tx.vals[key] = val
-}
-
-// Value retrieves state stashed with SetValue.
-func (tx *Txn) Value(key any) any {
-	tx.mu.Lock()
-	defer tx.mu.Unlock()
-	return tx.vals[key]
-}
-
 // Log appends r to the log as part of this transaction's backchain and
 // returns its LSN. The first call appends the transaction's Begin record
 // ahead of r, in the same critical section, so the Begin record, firstLSN
@@ -424,7 +435,7 @@ func (tx *Txn) LogCLR(r *wal.Record, undoNext page.LSN) page.LSN {
 
 // Lock acquires a lock on behalf of the transaction (two-phase: held to
 // end of transaction unless explicitly released by the tree protocol, as
-// signaling locks are).
+// the tree's waits on a record or a predicate's owner are).
 func (tx *Txn) Lock(n lock.Name, m lock.Mode) error {
 	return tx.LockCtx(context.Background(), n, m)
 }

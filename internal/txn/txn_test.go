@@ -318,18 +318,35 @@ func TestAdoptLoser(t *testing.T) {
 	}
 }
 
-func TestTxnValues(t *testing.T) {
+// TestTxnHorizon: a mark taken while transactions are live stays at or
+// above their ids until every one of them has ended, in both id spaces,
+// and transactions begun later do not hold it back.
+func TestTxnHorizon(t *testing.T) {
 	m := newMgr()
-	tx, _ := m.Begin()
-	type key struct{}
-	if tx.Value(key{}) != nil {
-		t.Error("unset value non-nil")
+	rw, _ := m.Begin()
+	ro, _ := m.BeginReadOnly()
+	mark, oldest := m.TxnHorizon()
+	if oldest.RW != rw.ID() || oldest.RO != ro.ID() {
+		t.Fatalf("oldest = %+v, want {%d %d}", oldest, rw.ID(), ro.ID())
 	}
-	tx.SetValue(key{}, 99)
-	if tx.Value(key{}) != 99 {
-		t.Error("value lost")
+	if mark.RW < rw.ID() || mark.RO < ro.ID() || mark.Below(oldest) {
+		t.Fatalf("mark %+v does not cover live %+v", mark, oldest)
 	}
-	tx.Commit()
+	later, _ := m.Begin()
+	laterRO, _ := m.BeginReadOnly()
+	if later.ID() <= mark.RW || laterRO.ID() <= mark.RO {
+		t.Fatalf("ids %d/%d begun after mark %+v", later.ID(), laterRO.ID(), mark)
+	}
+	rw.Commit()
+	if _, oldest := m.TxnHorizon(); mark.Below(oldest) {
+		t.Fatal("mark passed while a read-only transaction from before it is live")
+	}
+	ro.Abort()
+	if _, oldest := m.TxnHorizon(); !mark.Below(oldest) {
+		t.Fatalf("mark %+v not passed by oldest %+v once its transactions ended", mark, oldest)
+	}
+	later.Commit()
+	laterRO.Abort()
 }
 
 func TestCheckpointRecordsATTAndDPT(t *testing.T) {

@@ -287,11 +287,6 @@ func (tx *ReplicaTx) Close() error {
 	if err := tx.inner.Abort(); err != nil && !errors.Is(err, ErrNotActive) {
 		return err
 	}
-	tx.db.mu.Lock()
-	for _, ix := range tx.db.indexes {
-		ix.tree.TxnFinished(tx.inner.ID())
-	}
-	tx.db.mu.Unlock()
 	return nil
 }
 
@@ -360,7 +355,8 @@ func (ix *ReplicaIndex) Fetch(rid RID) ([]byte, error) {
 // result set is captured under the apply gate at open (one atomic
 // log-prefix state), then served incrementally — a live suspended traversal
 // cannot be left parked on pages the stream may reorganize or free, because
-// the applier does not respect signaling locks.
+// the applier replays node deletions and page frees at once, with no drain
+// for the replica's readers.
 func (ix *ReplicaIndex) OpenCursor(tx *ReplicaTx, query []byte, iso Isolation) (*ReplicaCursor, error) {
 	res, err := ix.Search(tx, query, iso)
 	if err != nil {

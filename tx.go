@@ -108,17 +108,11 @@ func (tx *Tx) Abort() error {
 	return nil
 }
 
-// finish ends the transaction's per-tree bookkeeping and, if it wrote,
-// the heap's reservations for its deletes: a transaction that logged
-// nothing deleted nothing, so the read path skips the heap.
+// finish ends the heap's reservations for the transaction's deletes if it
+// wrote: a transaction that logged nothing deleted nothing.
 func (tx *Tx) finish(wrote bool) {
 	if wrote {
 		tx.db.heap.TxnFinished(tx.inner.ID())
-	}
-	tx.db.mu.Lock()
-	defer tx.db.mu.Unlock()
-	for _, ix := range tx.db.indexes {
-		ix.tree.TxnFinished(tx.inner.ID())
 	}
 }
 
