@@ -123,7 +123,9 @@ type Cursor struct {
 }
 
 // OpenCursor starts an incremental search; call Next until ok is false, and
-// Close when done (transaction end does not close cursors automatically).
+// Close when done (transaction end does not close cursors automatically;
+// once the transaction has ended, Next fails with ErrNotActive when it
+// would visit another node).
 func (ix *Index) OpenCursor(tx *Tx, query []byte, iso Isolation) (*Cursor, error) {
 	gc, err := ix.tree.OpenCursor(tx.inner, query, iso)
 	if err != nil {
