@@ -385,27 +385,22 @@ func benchPredicates(b *testing.B, global bool) {
 	}
 }
 
-// BenchmarkNSNSource is the §10.1 ablation: global-counter reads versus
-// parent-LSN memorization on the descent path.
+// BenchmarkNSNSource measures range searches whose descent memorizes the
+// global counter (§10.1) at every node.
 func BenchmarkNSNSource(b *testing.B) {
-	for _, opt := range []struct {
-		name string
-		on   bool
-	}{{"globalCounter", false}, {"parentLSN", true}} {
-		b.Run(opt.name, func(b *testing.B) {
-			db, idx := benchDB(b, 10000, gistdb.Options{PoolPages: 4096, ParentLSNOpt: opt.on})
-			defer db.Close()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tx, _ := db.Begin()
-				k := int64(i % 10000)
-				if _, err := idx.Search(tx, btree.EncodeRange(k, k+20), gistdb.ReadCommitted); err != nil {
-					b.Fatal(err)
-				}
-				tx.Commit()
+	b.Run("globalCounter", func(b *testing.B) {
+		db, idx := benchDB(b, 10000, gistdb.Options{PoolPages: 4096})
+		defer db.Close()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			tx, _ := db.Begin()
+			k := int64(i % 10000)
+			if _, err := idx.Search(tx, btree.EncodeRange(k, k+20), gistdb.ReadCommitted); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+			tx.Commit()
+		}
+	})
 }
 
 // BenchmarkWALAppend measures the log manager's append path (every tree

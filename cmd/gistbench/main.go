@@ -1272,22 +1272,16 @@ func expLatchIO() {
 	fmt.Println("(the paper's protocol performs zero I/Os under latches; coupling cannot avoid them)")
 }
 
-// expNSN is the §10.1 ablation: reading the tree-global counter from the
-// log tail versus memorizing the parent page's LSN.
+// expNSN measures the §10.1 counter source: every traversal memorizes the
+// tree-global counter, read from the log tail.
 func expNSN() {
 	fmt.Printf("%-28s %14s %14s %14s\n", "counter source", "inserts/sec", "searches/sec", "false chases")
-	for _, opt := range []bool{false, true} {
-		name := "global counter (log tail)"
-		if opt {
-			name = "parent LSN (§10.1 opt)"
-		}
-		ins, srch, chases := nsnCell(opt)
-		fmt.Printf("%-28s %14.0f %14.0f %14d\n", name, ins, srch, chases)
-	}
+	ins, srch, chases := nsnCell()
+	fmt.Printf("%-28s %14.0f %14.0f %14d\n", "global counter (log tail)", ins, srch, chases)
 }
 
-func nsnCell(parentLSN bool) (insPerSec, searchPerSec float64, chases int64) {
-	db, err := gistdb.Open(gistdb.Options{MaxEntries: 64, ParentLSNOpt: parentLSN, PoolPages: 4096})
+func nsnCell() (insPerSec, searchPerSec float64, chases int64) {
+	db, err := gistdb.Open(gistdb.Options{MaxEntries: 64, PoolPages: 4096})
 	must(err)
 	defer db.Close()
 	idx, err := db.CreateIndex("nsn", btree.Ops{})

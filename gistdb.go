@@ -121,8 +121,6 @@ type Options struct {
 	// MaxEntries caps entries per node (0 = page space only); small
 	// values force deep trees for tests and demos.
 	MaxEntries int
-	// ParentLSNOpt enables the §10.1 counter-read optimization.
-	ParentLSNOpt bool
 	// IOLatency adds simulated latency to every page read/write,
 	// making I/O cost visible to the concurrency experiments.
 	IOLatency time.Duration
@@ -135,9 +133,9 @@ type Options struct {
 	// production defaults; set Manual to drive the daemons by explicit
 	// ticks instead of goroutines.
 	Maintenance *MaintenanceOptions
-	// RecoveryWorkers is the fan-out of restart's parallel redo drain and
-	// loser undo (0 = GOMAXPROCS; 1 = the serial single-goroutine order,
-	// the determinism gate for byte-exact repro of a restart).
+	// RecoveryWorkers is the fan-out of restart's parallel redo drain
+	// (0 = GOMAXPROCS; 1 = the serial single-goroutine order, the
+	// determinism gate for byte-exact repro of a restart).
 	RecoveryWorkers int
 	// SlowOpThreshold pins every operation at least this slow into the
 	// flight recorder's slow ring (see DB.SlowOps); 0 disables pinning.
@@ -324,7 +322,6 @@ func (db *DB) bootstrap() error {
 	if f.ID() != catalogPage {
 		return fmt.Errorf("gistdb: catalog allocated as page %d, want %d", f.ID(), catalogPage)
 	}
-	f.Page.SetFlags(page.FlagHeap)
 	lsn := tx.Log(&wal.Record{Type: wal.RecGetPage, Pg: f.ID(), Level: 0})
 	f.Page.SetLSN(lsn)
 	tx.EndNTA()
@@ -343,7 +340,23 @@ func (db *DB) recover() error {
 		gist.RegisterRecoveryHandlers(db.tm, db.pool)
 		return nil
 	})
-	return err
+	if err != nil {
+		return err
+	}
+	// Place the page the heap was filling, so its room is not abandoned.
+	// Only that one: the older pages' room is the holes committed deletes
+	// left, and placing them all scatters new records over cold pages
+	// that must each be read and compacted, which slows inserts after a
+	// restart. The catalog's entries are heap inserts too, on a page of
+	// its own.
+	pgs := rec.HeapPages()
+	for i := len(pgs) - 1; i >= 0; i-- {
+		if pgs[i] != db.catalog {
+			db.heap.Place(pgs[i])
+			break
+		}
+	}
+	return nil
 }
 
 // catalogEntry encodes one catalog record: name -> anchor page.
@@ -441,7 +454,7 @@ func (db *DB) CreateIndex(name string, ops Ops) (*Index, error) {
 	if _, err := db.readCatalog(name); err == nil {
 		return nil, fmt.Errorf("%w: %q", ErrIndexExists, name)
 	}
-	cfg := db.treeConfig(ops)
+	cfg := treeConfig(db.opts, db.recorder, ops)
 	tree, err := gist.Create(db.pool, db.tm, cfg)
 	if err != nil {
 		return nil, err
@@ -482,15 +495,10 @@ func (db *DB) CreateIndex(name string, ops Ops) (*Index, error) {
 	return ix, nil
 }
 
-// treeConfig builds the tree configuration shared by CreateIndex and
-// OpenIndex from the database options.
-func (db *DB) treeConfig(ops Ops) gist.Config {
-	return gist.Config{
-		Ops:          ops,
-		MaxEntries:   db.opts.MaxEntries,
-		ParentLSNOpt: db.opts.ParentLSNOpt,
-		Recorder:     db.recorder,
-	}
+// treeConfig builds an index's tree configuration from the options and the
+// flight recorder of the database (or replica) that opens it.
+func treeConfig(opts Options, rec *stats.Recorder, ops Ops) gist.Config {
+	return gist.Config{Ops: ops, MaxEntries: opts.MaxEntries, Recorder: rec}
 }
 
 // OpenIndex opens an existing index with the given extension methods (the
@@ -508,7 +516,7 @@ func (db *DB) OpenIndex(name string, ops Ops) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := db.treeConfig(ops)
+	cfg := treeConfig(db.opts, db.recorder, ops)
 	tree, err := gist.Open(db.pool, db.tm, cfg, anchor)
 	if err != nil {
 		return nil, err

@@ -149,3 +149,45 @@ func TestHeapDeleteCommitFreesSlot(t *testing.T) {
 		t.Errorf("%d heap deletes pending after an abort", n)
 	}
 }
+
+// TestRestartReusesPartlyFilledHeapPage: a restarted database places new
+// records on the heap pages its log names, so the room left on the last
+// page before the crash is used, not abandoned for a fresh page.
+func TestRestartReusesPartlyFilledHeapPage(t *testing.T) {
+	db, err := gistdb.Open(gistdb.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := db.CreateIndex("ints", btree.Ops{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx, _ := db.Begin()
+	before, err := idx.Insert(tx, btree.EncodeKey(1), []byte("first"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	db2, err := db.SimulateCrash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	idx2, err := db2.OpenIndex("ints", btree.Ops{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx, _ = db2.Begin()
+	after, err := idx2.Insert(tx, btree.EncodeKey(2), []byte("second"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if after.Page != before.Page {
+		t.Fatalf("record before the crash at %v, the next one after it at %v: want the same heap page", before, after)
+	}
+}

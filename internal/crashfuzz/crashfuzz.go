@@ -21,6 +21,7 @@
 package crashfuzz
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -32,7 +33,9 @@ import (
 	"time"
 
 	"regexp"
+	"slices"
 	"strconv"
+	"strings"
 
 	"repro/internal/btree"
 	"repro/internal/buffer"
@@ -370,7 +373,7 @@ func Run(cfg Config) (*Result, error) {
 	res.Stats = st
 
 	if err := validate(final, mdl, baseline, tcfg, anchor, res); err != nil {
-		trace := pageTrace(final.log, err)
+		trace := violationTrace(final.log, err)
 		if m := regexp.MustCompile(`node (\d+)`).FindStringSubmatch(err.Error()); m != nil {
 			pg, _ := strconv.Atoi(m[1])
 			trace += pageImage(final, page.PageID(pg))
@@ -397,8 +400,9 @@ func Run(cfg Config) (*Result, error) {
 		return res, fmt.Errorf("idempotence restart found %d losers, want 0 [%s]", st4.Losers, res.Repro())
 	}
 	if err := validate(m4, mdl, baseline, tcfg, anchor, res); err != nil {
+		trace := violationTrace(m4.log, err)
 		m4.abandon()
-		return res, fmt.Errorf("after idempotence restart: %v [%s]", err, res.Repro())
+		return res, fmt.Errorf("after idempotence restart: %v [%s]%s", err, res.Repro(), trace)
 	}
 
 	// The recovered engine accepts new work, durably.
@@ -783,29 +787,7 @@ func pageTrace(l *wal.Log, verr error) string {
 		return ""
 	}
 	id := page.PageID(pg)
-	committed := map[page.TxnID]bool{}
-	l.Scan(1, func(r *wal.Record) bool {
-		if r.Type == wal.RecCommit {
-			committed[r.Txn] = true
-		}
-		return true
-	})
-	decode := func(b []byte) string {
-		if len(b) == 0 {
-			return ""
-		}
-		// A heap record body can parse as an entry too; only a btree
-		// predicate's length (a key or a range) is decoded as one.
-		if e, err := page.DecodeEntry(b, true); err == nil && isBtreePred(e.Pred) {
-			lo, hi := btreeBounds(e.Pred)
-			return fmt.Sprintf(" leaf[%d,%d rid=%v del=%v]", lo, hi, e.RID, e.Deleted)
-		}
-		if e, err := page.DecodeEntry(b, false); err == nil && isBtreePred(e.Pred) {
-			lo, hi := btreeBounds(e.Pred)
-			return fmt.Sprintf(" int[%d,%d child=%d]", lo, hi, e.Child)
-		}
-		return fmt.Sprintf(" body(%d bytes)", len(b))
-	}
+	committed := committedTxns(l)
 	childOf := func(b []byte) page.PageID {
 		if e, err := page.DecodeEntry(b, false); err == nil {
 			return e.Child
@@ -817,13 +799,115 @@ func pageTrace(l *wal.Log, verr error) string {
 		hit := r.Pg == id || r.Pg2 == id || r.RID.Page == id ||
 			childOf(r.Body) == id || childOf(r.OldBody) == id
 		if hit {
-			out += fmt.Sprintf("\n  lsn=%d txn=%d(c=%v) %v pg=%d pg2=%d rid=%v prev=%d undoNext=%d%s%s",
-				r.LSN, r.Txn, committed[r.Txn], r.Type, r.Pg, r.Pg2, r.RID, r.PrevLSN, r.UndoNext,
-				decode(r.Body), decode(r.OldBody))
+			out += recordLine(r, committed)
 		}
 		return true
 	})
 	return out
+}
+
+// violationTrace is the evidence a validation failure ships with: the
+// oracle's trace for an oracle violation, the page trace otherwise.
+func violationTrace(l *wal.Log, verr error) string {
+	if strings.HasPrefix(verr.Error(), "oracle:") {
+		return oracleTrace(l, verr)
+	}
+	return pageTrace(l, verr)
+}
+
+// oracleTrace dumps the log behind an oracle violation: every record of
+// the transactions that wrote the violating entries (the RIDs "(p,s)" the
+// error names), and every record that names a page those entries were
+// logged on or moved to, so a rollback's CLRs and the splits and GC passes
+// between them show in order.
+func oracleTrace(l *wal.Log, verr error) string {
+	rids := map[page.RID]bool{}
+	for _, m := range regexp.MustCompile(`\((\d+),(\d+)\)`).FindAllStringSubmatch(verr.Error(), -1) {
+		pg, _ := strconv.Atoi(m[1])
+		slot, _ := strconv.Atoi(m[2])
+		rids[page.RID{Page: page.PageID(pg), Slot: uint16(slot)}] = true
+	}
+	if len(rids) == 0 {
+		return ""
+	}
+	names := func(b []byte) bool {
+		e, err := page.DecodeEntry(b, true)
+		return err == nil && rids[e.RID]
+	}
+	txns, pages := map[page.TxnID]bool{}, map[page.PageID]bool{}
+	l.Scan(1, func(r *wal.Record) bool {
+		switch r.Type.Base() {
+		case wal.RecAddLeafEntry, wal.RecMarkLeafEntry:
+			if names(r.Body) {
+				txns[r.Txn], pages[r.Pg] = true, true
+			}
+		case wal.RecSplit, wal.RecGarbageCollection:
+			if slices.ContainsFunc(r.Moved, names) {
+				pages[r.Pg] = true
+				if r.Pg2 != page.InvalidPage {
+					pages[r.Pg2] = true
+				}
+			}
+		}
+		return true
+	})
+	committed := committedTxns(l)
+	out := fmt.Sprintf("\nORACLE TRACE for txns %v on pages %v (base=%d last=%d):",
+		sortedKeys(txns), sortedKeys(pages), l.Base(), l.LastLSN())
+	l.Scan(1, func(r *wal.Record) bool {
+		if txns[r.Txn] || pages[r.Pg] || pages[r.Pg2] {
+			out += recordLine(r, committed)
+		}
+		return true
+	})
+	return out
+}
+
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[K cmp.Ordered](m map[K]bool) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+// committedTxns returns the transactions with a Commit record in l.
+func committedTxns(l *wal.Log) map[page.TxnID]bool {
+	committed := map[page.TxnID]bool{}
+	l.Scan(1, func(r *wal.Record) bool {
+		if r.Type == wal.RecCommit {
+			committed[r.Txn] = true
+		}
+		return true
+	})
+	return committed
+}
+
+// recordLine formats one log record for a trace, decoding entry bodies.
+func recordLine(r *wal.Record, committed map[page.TxnID]bool) string {
+	return fmt.Sprintf("\n  lsn=%d txn=%d(c=%v) %v pg=%d pg2=%d rid=%v prev=%d undoNext=%d%s%s",
+		r.LSN, r.Txn, committed[r.Txn], r.Type, r.Pg, r.Pg2, r.RID, r.PrevLSN, r.UndoNext,
+		decodeBody(r.Body), decodeBody(r.OldBody))
+}
+
+// decodeBody renders a record body. A heap record body can parse as an
+// entry too; only a btree predicate's length (a key or a range) is decoded
+// as one.
+func decodeBody(b []byte) string {
+	if len(b) == 0 {
+		return ""
+	}
+	if e, err := page.DecodeEntry(b, true); err == nil && isBtreePred(e.Pred) {
+		lo, hi := btreeBounds(e.Pred)
+		return fmt.Sprintf(" leaf[%d,%d rid=%v del=%v]", lo, hi, e.RID, e.Deleted)
+	}
+	if e, err := page.DecodeEntry(b, false); err == nil && isBtreePred(e.Pred) {
+		lo, hi := btreeBounds(e.Pred)
+		return fmt.Sprintf(" int[%d,%d child=%d]", lo, hi, e.Child)
+	}
+	return fmt.Sprintf(" body(%d bytes)", len(b))
 }
 
 // isBtreePred reports whether b has the length of a btree key or range.

@@ -32,3 +32,32 @@ func TestPageTraceShortPredicate(t *testing.T) {
 		t.Errorf("trace lost the btree entry:%s", out)
 	}
 }
+
+// TestOracleTraceFollowsViolatingEntries: an oracle violation ships every
+// record of the transaction that wrote the violating entry and every
+// record naming a page the entry was logged on or moved to — here the
+// split that moved it and the CLR on the sibling — and nothing else.
+func TestOracleTraceFollowsViolatingEntries(t *testing.T) {
+	l := wal.NewMemLog()
+	rid := page.RID{Page: 3, Slot: 63}
+	body := (&page.Entry{Pred: btree.EncodeKey(42), RID: rid}).Encode(true)
+	other := (&page.Entry{Pred: btree.EncodeKey(7), RID: page.RID{Page: 3, Slot: 64}}).Encode(true)
+	l.Append(&wal.Record{Type: wal.RecHeapInsert, Txn: 5, Pg: 3, RID: rid, Body: []byte("rec-42")})
+	l.Append(&wal.Record{Type: wal.RecAddLeafEntry, Txn: 5, Pg: 10, Body: body})
+	l.Append(&wal.Record{Type: wal.RecSplit, Txn: 6, Pg: 10, Pg2: 11, Moved: [][]byte{body}})
+	l.Append(&wal.Record{Type: wal.RecAddLeafEntry, Txn: 7, Pg: 12, Body: other})
+	l.Append(&wal.Record{Type: wal.RecAddLeafEntry | wal.ClrFlag, Txn: 5, Pg: 11, RID: rid, Body: body})
+
+	out := violationTrace(l, errors.New("oracle: 1 violations:\n  uncommitted entry (3,63) (\"x\") survived restart"))
+	if !strings.Contains(out, "ORACLE TRACE for txns [5] on pages [10 11]") {
+		t.Fatalf("trace header names the wrong transactions or pages:%s", out)
+	}
+	for _, lsn := range []string{"lsn=1 ", "lsn=2 ", "lsn=3 ", "lsn=5 "} {
+		if !strings.Contains(out, lsn) {
+			t.Errorf("trace misses %s:%s", lsn, out)
+		}
+	}
+	if strings.Contains(out, "lsn=4 ") {
+		t.Errorf("trace shows the unrelated record:%s", out)
+	}
+}

@@ -120,7 +120,6 @@ func (o *op) gcLeafLocked(f *buffer.Frame, stack []pathEntry, unlink bool) {
 		}
 		return
 	}
-	var victims []int
 	var bodies [][]byte
 	for i := 0; i < f.Page.NumSlots(); i++ {
 		if _, ok := f.Page.PredAt(i); !ok {
@@ -130,26 +129,23 @@ func (o *op) gcLeafLocked(f *buffer.Frame, stack []pathEntry, unlink bool) {
 			continue
 		}
 		if d := f.Page.DeleterAt(i); d != page.InvalidTxn && !t.tm.IsActive(d) {
-			victims = append(victims, i)
 			b, _ := f.Page.SlotBytes(i)
 			bodies = append(bodies, append([]byte(nil), b...))
 		}
 	}
-	if len(victims) == 0 {
+	if len(bodies) == 0 {
 		return
 	}
 	if err := o.tx.BeginNTA(); err != nil {
 		return // another SMO is open; GC is an optimization, skip
 	}
-	lsn := o.tx.Log(&wal.Record{Type: wal.RecGarbageCollection, Pg: f.ID(), Moved: bodies})
-	for i := len(victims) - 1; i >= 0; i-- {
-		f.Page.DeleteSlot(victims[i])
-	}
-	f.Page.SetLSN(lsn)
+	err := o.logApply(&wal.Record{Type: wal.RecGarbageCollection, Pg: f.ID(), Moved: bodies}, f)
 	o.tx.EndNTA()
-	t.pool.MarkDirty(f, lsn)
+	if err != nil {
+		return
+	}
 	t.Stats.GCRuns.Add(1)
-	t.Stats.GCEntries.Add(int64(len(victims)))
+	t.Stats.GCEntries.Add(int64(len(bodies)))
 
 	if f.Page.NumSlots() == 0 {
 		if unlink {
@@ -212,15 +208,7 @@ func (o *op) shrinkParentBP(f *buffer.Frame, stack []pathEntry) {
 	if err := o.tx.BeginNTA(); err != nil {
 		return
 	}
-	lsn := o.tx.Log(&wal.Record{
-		Type: wal.RecParentEntryUpdate,
-		Pg:   parentF.ID(),
-		Pg2:  f.ID(),
-		Body: newBP,
-	})
-	if err := parentF.Page.ReplaceEntry(slot, page.Entry{Pred: newBP, Child: f.ID()}); err == nil {
-		parentF.Page.SetLSN(lsn)
-		t.pool.MarkDirty(parentF, lsn)
+	if o.logApply(&wal.Record{Type: wal.RecParentEntryUpdate, Pg: parentF.ID(), Pg2: f.ID(), Body: newBP}, parentF) == nil {
 		t.Stats.BPUpdates.Add(1)
 	}
 	o.tx.EndNTA()
@@ -271,23 +259,14 @@ func (o *op) tryDeleteNode(f *buffer.Frame, stack []pathEntry) {
 		return
 	}
 	entryBody, _ := parentF.Page.SlotBytes(slot)
-	entryCopy := append([]byte(nil), entryBody...)
-	lsn := o.tx.Log(&wal.Record{Type: wal.RecInternalEntryDelete, Pg: parentF.ID(), Body: entryCopy})
-	parentF.Page.DeleteSlot(slot)
-	parentF.Page.SetLSN(lsn)
-	t.pool.MarkDirty(parentF, lsn)
-
-	lsn = o.tx.Log(&wal.Record{
-		Type:     wal.RecFreePage,
-		Pg:       pg,
-		Level:    f.Page.Level(),
-		OldNSN:   f.Page.NSN(),
-		OldRight: f.Page.Rightlink(),
-	})
-	f.Page.SetFlags(f.Page.Flags() | page.FlagDeallocated)
-	f.Page.SetLSN(lsn)
-	t.pool.MarkDirty(f, lsn)
+	err = o.logApply(&wal.Record{Type: wal.RecInternalEntryDelete, Pg: parentF.ID(), Body: append([]byte(nil), entryBody...)}, parentF)
+	if err == nil {
+		err = o.logApply(freePageRecord(f), f)
+	}
 	o.tx.EndNTA()
+	if err != nil {
+		return
+	}
 
 	t.preds.DropNode(pg)
 	t.drain(pg)
@@ -482,22 +461,31 @@ func (t *Tree) Destroy(tx *txn.Txn) error {
 			return err
 		}
 		o.latchPage(f, latch.X)
-		lsn := tx.Log(&wal.Record{
-			Type:     wal.RecFreePage,
-			Pg:       pg,
-			Level:    f.Page.Level(),
-			OldNSN:   f.Page.NSN(),
-			OldRight: f.Page.Rightlink(),
-		})
-		f.Page.SetFlags(f.Page.Flags() | page.FlagDeallocated)
-		f.Page.SetLSN(lsn)
-		t.pool.MarkDirty(f, lsn)
+		err = o.logApply(freePageRecord(f), f)
 		o.unlatchPage(f, latch.X)
 		t.pool.Unpin(f, false, 0)
+		if err != nil {
+			tx.EndNTA()
+			t.drain(pages[:i]...)
+			return err
+		}
 		t.preds.DropNode(pg)
 	}
 	tx.EndNTA()
 	t.drain(pages...)
 	t.Close() // release the anchor pin so the page can be reused
 	return nil
+}
+
+// freePageRecord is the Free-Page record of f: it carries the node's
+// identity, NSN and rightlink, so undoing the free can rebuild the empty
+// node.
+func freePageRecord(f *buffer.Frame) *wal.Record {
+	return &wal.Record{
+		Type:     wal.RecFreePage,
+		Pg:       f.ID(),
+		Level:    f.Page.Level(),
+		OldNSN:   f.Page.NSN(),
+		OldRight: f.Page.Rightlink(),
+	}
 }

@@ -129,10 +129,6 @@ type Config struct {
 	// entries even if byte space remains; 0 disables the cap. Small
 	// values let tests exercise deep trees cheaply.
 	MaxEntries int
-	// ParentLSNOpt enables the §10.1 optimization: traversals memorize
-	// the parent page's LSN instead of reading the global counter,
-	// avoiding synchronization on the log manager's tail.
-	ParentLSNOpt bool
 	// AssertNoLatchOnIO panics if a buffer-pool miss occurs while the
 	// operation holds any node latch (experiment E10's watchdog).
 	AssertNoLatchOnIO bool
@@ -250,36 +246,29 @@ func Create(pool *buffer.Pool, tm *txn.Manager, cfg Config) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	lsn := tx.Log(&wal.Record{Type: wal.RecGetPage, Pg: anchorF.ID(), Level: 0})
-	anchorF.Page.SetLSN(lsn)
-	// Each page's recLSN is its FIRST record (the allocation), not the
-	// Root-Change logged last: a checkpoint between them must not let
-	// restart redo start past the pages' formatting records.
-	pool.MarkDirty(anchorF, lsn)
-
 	rootF, err := pool.NewPage(0)
 	if err != nil {
 		return nil, err
 	}
-	lsn = tx.Log(&wal.Record{Type: wal.RecGetPage, Pg: rootF.ID(), Level: 0})
-	rootF.Page.SetLSN(lsn)
-	pool.MarkDirty(rootF, lsn)
-
-	if _, err := anchorF.Page.InsertBytes(anchorBody(rootF.ID())); err != nil {
+	// Each page's recLSN is its FIRST record (the allocation), not the
+	// Root-Change logged last: a checkpoint between them must not let
+	// restart redo start past the pages' formatting records.
+	o := t.opEnter(tx)
+	err = o.logApply(&wal.Record{Type: wal.RecGetPage, Pg: anchorF.ID()}, anchorF)
+	if err == nil {
+		err = o.logApply(&wal.Record{Type: wal.RecGetPage, Pg: rootF.ID()}, rootF)
+	}
+	if err == nil {
+		err = o.logApply(&wal.Record{Type: wal.RecRootChange, Pg: anchorF.ID(), Pg2: rootF.ID()}, anchorF)
+	}
+	if err != nil {
 		return nil, err
 	}
-	lsn = tx.Log(&wal.Record{
-		Type: wal.RecRootChange,
-		Pg:   anchorF.ID(),
-		Pg2:  rootF.ID(),
-	})
-	anchorF.Page.SetLSN(lsn)
 	tx.EndNTA()
 
 	t.anchor = anchorF.ID()
 	t.anchorF = anchorF // stays pinned for the tree's lifetime
-	pool.MarkDirty(anchorF, lsn)
-	pool.Unpin(rootF, true, lsn)
+	pool.Unpin(rootF, false, 0)
 	if err := tx.Commit(); err != nil {
 		return nil, err
 	}

@@ -558,12 +558,13 @@ func (o *op) splitNode(f *buffer.Frame, stack []pathEntry, child page.PageID, ex
 		o.unlatchPage(newF, latch.X)
 		t.pool.Unpin(newF, true, 0)
 	}
-	lsnGet := o.tx.Log(&wal.Record{Type: wal.RecGetPage, Pg: newF.ID(), Level: f.Page.Level()})
-	newF.Page.SetLSN(lsnGet)
-	// First record on the sibling: pin its recLSN here, not at the later
-	// Split-record MarkDirty, so a checkpoint's redo point never starts
-	// past the page's allocation.
-	t.pool.MarkDirty(newF, lsnGet)
+	// First record on the sibling: it pins the recLSN, so a checkpoint's
+	// redo point never starts past the page's allocation.
+	if err := o.logApply(&wal.Record{Type: wal.RecGetPage, Pg: newF.ID(), Level: f.Page.Level()}, newF); err != nil {
+		releaseNew()
+		releaseParent()
+		return nil, err
+	}
 
 	n := f.Page.NumSlots()
 	preds := make([][]byte, n)
@@ -613,20 +614,15 @@ func (o *op) splitNode(f *buffer.Frame, stack []pathEntry, child page.PageID, ex
 		OldRight: f.Page.Rightlink(),
 		Moved:    moved,
 	}
-	// Log sets rec.LSN itself (inside Append, before the record is
-	// published); assigning the returned LSN back here would be a racy
-	// duplicate store — a replication shipper may already be encoding the
-	// sealed record from the log tail.
-	o.tx.Log(rec)
-	applySplit(&f.Page, &newF.Page, rec)
-	// Both page images changed; mark them dirty HERE, not at unpin time:
-	// callers unpin the side they did not insert into with dirty=false,
-	// and a clean-before-split original would otherwise lose the split
-	// to eviction (the in-memory image discarded, the stale pre-split
-	// disk image reloaded) — a divergence the WAL cannot repair because
-	// the pageLSN on disk predates the Split record.
-	t.pool.MarkDirty(f, rec.LSN)
-	t.pool.MarkDirty(newF, rec.LSN)
+	// Both pages are marked dirty here, not at unpin time: callers unpin
+	// the side they did not insert into with dirty=false, and a
+	// clean-before-split original would otherwise lose the split to
+	// eviction.
+	if err := o.logApply(rec, f, newF); err != nil {
+		releaseNew()
+		releaseParent()
+		return nil, fmt.Errorf("gist: split %d: %w", f.ID(), err)
+	}
 
 	// Replicate predicate attachments consistent with the new node's BP
 	// (§4.3 case 1).
@@ -675,18 +671,18 @@ func (o *op) splitNode(f *buffer.Frame, stack []pathEntry, child page.PageID, ex
 			return nil, err
 		}
 		t.Stats.Splits.Add(1)
-		target, targetSlot := parentF, parentF.Page.FindChild(f.ID())
-		if targetSlot < 0 {
-			target, targetSlot = parentSib, parentSib.Page.FindChild(f.ID())
+		target := parentF
+		if parentF.Page.FindChild(f.ID()) < 0 {
+			target = parentSib
 		}
-		if targetSlot < 0 {
+		if target.Page.FindChild(f.ID()) < 0 {
 			o.unlatchPage(parentSib, latch.X)
 			t.pool.Unpin(parentSib, false, 0)
 			releaseNew()
 			releaseParent()
 			return nil, fmt.Errorf("gist: child %d lost during parent split", f.ID())
 		}
-		err = o.writeParentUpdates(target, targetSlot, f.ID(), oldPred, origBP, newEntry)
+		err = o.writeParentUpdates(target, f.ID(), oldPred, origBP, newEntry)
 		releaseSib := func() {
 			o.unlatchPage(parentSib, latch.X)
 			t.pool.Unpin(parentSib, false, 0)
@@ -700,7 +696,7 @@ func (o *op) splitNode(f *buffer.Frame, stack []pathEntry, child page.PageID, ex
 		o.smoHeld = append(o.smoHeld, releaseParent, releaseSib)
 		return newF, nil
 	}
-	if err := o.writeParentUpdates(parentF, slot, f.ID(), oldPred, origBP, newEntry); err != nil {
+	if err := o.writeParentUpdates(parentF, f.ID(), oldPred, origBP, newEntry); err != nil {
 		releaseNew()
 		releaseParent()
 		return nil, err
@@ -711,7 +707,9 @@ func (o *op) splitNode(f *buffer.Frame, stack []pathEntry, child page.PageID, ex
 
 // growRoot installs a new root above the just-split pair, with entries
 // fBP and newBP, while the anchor is exclusively latched (root moves;
-// stale traversals compensate via the old root's rightlink).
+// stale traversals compensate via the old root's rightlink). Each page's
+// recLSN is its first record, the Get-Page: a checkpoint between it and the
+// Root-Change must not let restart redo start past the root's formatting.
 func (o *op) growRoot(f, newF *buffer.Frame, fBP, newBP []byte) error {
 	t := o.t
 	rootF, err := t.pool.NewPage(f.Page.Level() + 1)
@@ -719,106 +717,46 @@ func (o *op) growRoot(f, newF *buffer.Frame, fBP, newBP []byte) error {
 		return err
 	}
 	o.latchPage(rootF, latch.X)
-	lsn := o.tx.Log(&wal.Record{Type: wal.RecGetPage, Pg: rootF.ID(), Level: f.Page.Level() + 1})
-	rootF.Page.SetLSN(lsn)
-	// recLSN must be the page's FIRST record, not the Root-Change the
-	// final unpin carries: a checkpoint between would otherwise tell
-	// restart redo to start past the Get-Page, leaving a never-flushed
-	// root unformatted while redo no-op-stamps later records onto it.
-	t.pool.MarkDirty(rootF, lsn)
-	for _, pair := range []struct {
-		bp    []byte
-		child page.PageID
-	}{
-		{fBP, f.ID()},
-		{newBP, newF.ID()},
-	} {
-		e := page.Entry{Pred: pair.bp, Child: pair.child}
-		body := e.Encode(false)
-		lsn = o.tx.Log(&wal.Record{Type: wal.RecInternalEntryAdd, Pg: rootF.ID(), Body: body})
-		if _, err := rootF.Page.InsertBytes(body); err != nil {
-			o.unlatchPage(rootF, latch.X)
-			t.pool.Unpin(rootF, false, 0)
-			return err
+	recs := []*wal.Record{
+		{Type: wal.RecGetPage, Pg: rootF.ID(), Level: f.Page.Level() + 1},
+		{Type: wal.RecInternalEntryAdd, Pg: rootF.ID(), Body: (&page.Entry{Pred: fBP, Child: f.ID()}).Encode(false)},
+		{Type: wal.RecInternalEntryAdd, Pg: rootF.ID(), Body: (&page.Entry{Pred: newBP, Child: newF.ID()}).Encode(false)},
+	}
+	for _, rec := range recs {
+		if err = o.logApply(rec, rootF); err != nil {
+			break
 		}
-		rootF.Page.SetLSN(lsn)
 	}
-	lsn = o.tx.Log(&wal.Record{Type: wal.RecRootChange, Pg: t.anchor, Pg2: rootF.ID(), OldRight: f.ID()})
-	if err := t.anchorF.Page.ReplaceBytes(0, anchorBody(rootF.ID())); err != nil {
-		o.unlatchPage(rootF, latch.X)
-		t.pool.Unpin(rootF, false, 0)
-		return err
+	if err == nil {
+		err = o.logApply(&wal.Record{Type: wal.RecRootChange, Pg: t.anchor, Pg2: rootF.ID(), OldRight: f.ID()}, t.anchorF)
 	}
-	t.anchorF.Page.SetLSN(lsn)
-	t.pool.MarkDirty(t.anchorF, lsn)
 	o.unlatchPage(rootF, latch.X)
-	t.pool.Unpin(rootF, true, lsn)
-	t.Stats.RootSplits.Add(1)
-	return nil
-}
-
-// applySplit performs the physical page changes of a Split record; it is
-// shared between normal operation and restart redo so both produce
-// identical images.
-func applySplit(orig, sibling *page.Page, rec *wal.Record) {
-	leaf := rec.Level == 0
-	// Sibling inherits the original's NSN and rightlink.
-	sibling.SetNSN(rec.OldNSN)
-	sibling.SetRightlink(rec.OldRight)
-	movedSet := make(map[string]bool, len(rec.Moved))
-	for _, b := range rec.Moved {
-		sibling.InsertBytes(b)
-		movedSet[string(b)] = true
+	t.pool.Unpin(rootF, false, 0)
+	if err == nil {
+		t.Stats.RootSplits.Add(1)
 	}
-	// Remove moved bodies from the original (match by content).
-	for i := orig.NumSlots() - 1; i >= 0; i-- {
-		b, err := orig.SlotBytes(i)
-		if err != nil {
-			continue
-		}
-		if movedSet[string(b)] {
-			orig.DeleteSlot(i)
-			delete(movedSet, string(b)) // each body removed once
-		}
-	}
-	orig.SetNSN(rec.LSN)
-	orig.SetRightlink(sibling.ID())
-	orig.SetLSN(rec.LSN)
-	sibling.SetLSN(rec.LSN)
-	_ = leaf
+	return err
 }
 
 // writeParentUpdates logs and applies the two parent changes of a split:
 // Internal-Entry-Update for the original child and Internal-Entry-Add for
-// the new sibling.
-func (o *op) writeParentUpdates(parentF *buffer.Frame, slot int, child page.PageID, oldPred, newPred []byte, add page.Entry) error {
+// the new sibling. Each marks the parent dirty at its own LSN, so a clean
+// parent's recLSN is the first of them.
+func (o *op) writeParentUpdates(parentF *buffer.Frame, child page.PageID, oldPred, newPred []byte, add page.Entry) error {
 	if !bytes.Equal(oldPred, newPred) {
-		lsn := o.tx.Log(&wal.Record{
+		if err := o.logApply(&wal.Record{
 			Type:    wal.RecInternalEntryUpdate,
 			Pg:      parentF.ID(),
 			Pg2:     child,
 			Body:    newPred,
 			OldBody: oldPred,
-		})
-		if err := parentF.Page.ReplaceEntry(slot, page.Entry{Pred: newPred, Child: child}); err != nil {
+		}, parentF); err != nil {
 			return fmt.Errorf("gist: tighten parent entry: %w", err)
 		}
-		parentF.Page.SetLSN(lsn)
-		// Mark per record: if the parent was clean, its recLSN must be
-		// this update's LSN, not the following add's.
-		o.t.pool.MarkDirty(parentF, lsn)
 	}
-	body := add.Encode(false)
-	lsn := o.tx.Log(&wal.Record{
-		Type: wal.RecInternalEntryAdd,
-		Pg:   parentF.ID(),
-		Body: body,
-	})
-	if _, err := parentF.Page.InsertBytes(body); err != nil {
+	if err := o.logApply(&wal.Record{Type: wal.RecInternalEntryAdd, Pg: parentF.ID(), Body: add.Encode(false)}, parentF); err != nil {
 		return fmt.Errorf("gist: add parent entry: %w", err)
 	}
-	parentF.Page.SetLSN(lsn)
-	o.t.pool.MarkDirty(parentF, lsn)
 	return nil
 }
 
@@ -870,19 +808,12 @@ func (o *op) propagateBP(childF *buffer.Frame, pred []byte, stack []pathEntry) e
 		release()
 		return err
 	}
-	lsn := o.tx.Log(&wal.Record{
-		Type: wal.RecParentEntryUpdate,
-		Pg:   parentF.ID(),
-		Pg2:  childF.ID(),
-		Body: merged,
-	})
-	if err := parentF.Page.ReplaceEntry(slot, page.Entry{Pred: merged, Child: childF.ID()}); err != nil {
-		o.tx.EndNTA()
+	err = o.logApply(&wal.Record{Type: wal.RecParentEntryUpdate, Pg: parentF.ID(), Pg2: childF.ID(), Body: merged}, parentF)
+	o.tx.EndNTA()
+	if err != nil {
 		release()
 		return fmt.Errorf("gist: BP update on %d: %w", parentF.ID(), err)
 	}
-	parentF.Page.SetLSN(lsn)
-	o.tx.EndNTA()
 	t.Stats.BPUpdates.Add(1)
 
 	// Percolate predicates newly consistent with the child's grown BP,
@@ -891,8 +822,6 @@ func (o *op) propagateBP(childF *buffer.Frame, pred []byte, stack []pathEntry) e
 	t.preds.Percolate(parentF.ID(), childF.ID(), func(p *predicate.Predicate) bool {
 		return p.Kind == predicate.Search && t.ops.Consistent(merged, p.Data)
 	})
-
-	t.pool.MarkDirty(parentF, lsn)
 	release()
 	return nil
 }

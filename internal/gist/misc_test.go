@@ -16,8 +16,8 @@ import (
 // bestInChain path of locateLeaf).
 func TestHotLeafContention(t *testing.T) {
 	// The small pool keeps eviction pressure on: this test caught the
-	// lost-split-via-eviction bug (split pages must be marked dirty at
-	// applySplit, not at unpin).
+	// lost-split-via-eviction bug (split pages must be marked dirty when
+	// the Split record is applied, not at unpin).
 	e := newEnvWithPool(t, gist.Config{MaxEntries: 4}, 64)
 	var wg sync.WaitGroup
 	const workers, per = 8, 120

@@ -1,7 +1,6 @@
 package gist_test
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -22,7 +21,7 @@ func TestModelRandomOps(t *testing.T) {
 		conf gist.Config
 	}{
 		{"fanout6", gist.Config{MaxEntries: 6}},
-		{"fanout16-parentLSN", gist.Config{MaxEntries: 16, ParentLSNOpt: true}},
+		{"fanout16", gist.Config{MaxEntries: 16}},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
 			e := newEnv(t, cfg.conf)
@@ -245,30 +244,4 @@ func TestSavepointRetainsState(t *testing.T) {
 		t.Errorf("scan after partial rollback: %d", len(got))
 	}
 	tx.Commit()
-}
-
-// TestParentLSNOptEquivalence runs the same workload with and without the
-// §10.1 optimization and demands identical result sets.
-func TestParentLSNOptEquivalence(t *testing.T) {
-	results := make(map[bool][]int64)
-	for _, opt := range []bool{false, true} {
-		e := newEnv(t, gist.Config{MaxEntries: 6, ParentLSNOpt: opt})
-		for i := 0; i < 200; i++ {
-			e.put(int64((i * 37) % 500))
-		}
-		tx := e.begin()
-		results[opt] = keysOf(e.search(tx, 0, 1000))
-		tx.Commit()
-		e.checkTree()
-	}
-	a, b := results[false], results[true]
-	if len(a) != len(b) {
-		t.Fatalf("result sizes differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("results diverge at %d: %d vs %d", i, a[i], b[i])
-		}
-	}
-	_ = fmt.Sprint(a)
 }

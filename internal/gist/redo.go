@@ -3,6 +3,7 @@ package gist
 import (
 	"fmt"
 
+	"repro/internal/buffer"
 	"repro/internal/page"
 	"repro/internal/wal"
 )
@@ -25,11 +26,37 @@ func TouchesPage(r *wal.Record, pg page.PageID) bool {
 	}
 }
 
-// Redo applies the page-local effect of a tree log record (or CLR) during
-// restart, implementing the redo column of Table 1. pg names which of the
-// record's pages p is (a zeroed never-flushed image cannot say itself). The
-// caller has verified pageLSN < r.LSN; Redo stamps the pageLSN. Redo
-// actions are written to be idempotent against partially applied state.
+// logApply logs rec in the operation's transaction and applies it to the
+// X-latched frames it touches (both pages of a Split).
+func (o *op) logApply(rec *wal.Record, frames ...*buffer.Frame) error {
+	o.tx.Log(rec)
+	return o.t.apply(rec, frames...)
+}
+
+// apply performs a logged record's page effect on each X-latched frame by
+// its redo action, which stamps the pageLSN, and marks the frame dirty at
+// the record's LSN — its first record if the frame was clean, as the
+// checkpoint's dirty page table needs. Structure modifications, garbage
+// collection and rollback change tree pages only here, so restart redo and
+// replica apply rebuild exactly the images the forward path wrote.
+func (t *Tree) apply(rec *wal.Record, frames ...*buffer.Frame) error {
+	for _, f := range frames {
+		if err := Redo(rec, &f.Page, f.ID()); err != nil {
+			return err
+		}
+		t.pool.MarkDirty(f, rec.LSN)
+	}
+	return nil
+}
+
+// Redo applies the page-local effect of a tree log record (or CLR),
+// implementing the redo column of Table 1. It is the one definition of
+// each record's page change: the forward path (apply), runtime and restart
+// rollback (their CLRs), restart redo and replica apply all run it. pg
+// names which of the record's pages p is (a zeroed never-flushed image
+// cannot say itself). The caller has verified pageLSN < r.LSN; Redo stamps
+// the pageLSN. Redo actions are written to be idempotent against partially
+// applied state.
 func Redo(r *wal.Record, p *page.Page, pg page.PageID) error {
 	base := r.Type.Base()
 	clr := r.Type.IsCLR()
@@ -68,11 +95,7 @@ func Redo(r *wal.Record, p *page.Page, pg page.PageID) error {
 		}
 		if pg == r.Pg {
 			// Original page: moved entries leave; stamp new NSN.
-			for _, b := range r.Moved {
-				if slot := p.FindBody(b); slot >= 0 {
-					p.DeleteSlot(slot)
-				}
-			}
+			removeBodies(p, r.Moved)
 			p.SetNSN(r.LSN)
 			p.SetRightlink(r.Pg2)
 		} else {
@@ -88,42 +111,26 @@ func Redo(r *wal.Record, p *page.Page, pg page.PageID) error {
 			p.SetRightlink(r.OldRight)
 		}
 
-	case wal.RecParentEntryUpdate:
-		// Redo-only: "update BP in corresponding slot in parent".
+	case wal.RecParentEntryUpdate, wal.RecInternalEntryUpdate:
+		// "Update BP in corresponding slot in parent". An Internal-Entry-
+		// Update CLR carries the restored value in Body as well (undoPage
+		// swaps the fields); Parent-Entry-Update is redo-only.
 		if slot := p.FindChild(r.Pg2); slot >= 0 {
 			if err := p.ReplaceEntry(slot, page.Entry{Pred: r.Body, Child: r.Pg2}); err != nil {
 				return err
 			}
 		}
 
-	case wal.RecInternalEntryAdd:
-		if clr {
-			if slot := p.FindBody(r.Body); slot >= 0 {
-				p.DeleteSlot(slot)
-			}
-		} else if p.FindBody(r.Body) < 0 {
+	case wal.RecInternalEntryAdd, wal.RecInternalEntryDelete:
+		// An add, or the compensation of a delete, installs the entry;
+		// a delete, or the compensation of an add, removes it.
+		slot := p.FindBody(r.Body)
+		switch install := (base == wal.RecInternalEntryAdd) != clr; {
+		case install && slot < 0:
 			if _, err := p.InsertBytes(r.Body); err != nil {
 				return err
 			}
-		}
-
-	case wal.RecInternalEntryUpdate:
-		// Forward: set to Body; CLR already carries the restored value
-		// in Body as well (undoInternalEntryUpdate swaps the fields).
-		if slot := p.FindChild(r.Pg2); slot >= 0 {
-			if err := p.ReplaceEntry(slot, page.Entry{Pred: r.Body, Child: r.Pg2}); err != nil {
-				return err
-			}
-		}
-
-	case wal.RecInternalEntryDelete:
-		if clr {
-			if p.FindBody(r.Body) < 0 {
-				if _, err := p.InsertBytes(r.Body); err != nil {
-					return err
-				}
-			}
-		} else if slot := p.FindBody(r.Body); slot >= 0 {
+		case !install && slot >= 0:
 			p.DeleteSlot(slot)
 		}
 
@@ -162,20 +169,12 @@ func Redo(r *wal.Record, p *page.Page, pg page.PageID) error {
 
 	case wal.RecGarbageCollection:
 		// Redo-only: remove the recorded entries from the leaf.
-		for _, b := range r.Moved {
-			if slot := p.FindBody(b); slot >= 0 {
-				p.DeleteSlot(slot)
-			}
-		}
+		removeBodies(p, r.Moved)
 
 	case wal.RecRootChange:
-		root := r.Pg2
-		if clr {
-			// undoRootChange already swapped Pg2/OldRight, so the
-			// CLR's forward action is the same shape.
-			root = r.Pg2
-		}
-		if err := p.EnsureSlot(0, anchorBody(root)); err != nil {
+		// A CLR carries the restored root in Pg2 as well (undoPage
+		// swaps Pg2 and OldRight).
+		if err := p.EnsureSlot(0, anchorBody(r.Pg2)); err != nil {
 			return err
 		}
 
@@ -184,4 +183,30 @@ func Redo(r *wal.Record, p *page.Page, pg page.PageID) error {
 	}
 	p.SetLSN(r.LSN)
 	return nil
+}
+
+// removeBodies deletes one slot per listed body in a single pass from the
+// high slot down, against a count of the bodies still to remove, so a
+// split or garbage collection costs one scan of the node however many
+// entries leave.
+func removeBodies(p *page.Page, bodies [][]byte) {
+	left := make(map[string]int, len(bodies))
+	for _, b := range bodies {
+		left[string(b)]++
+	}
+	for i := p.NumSlots() - 1; i >= 0 && len(left) > 0; i-- {
+		b, err := p.SlotBytes(i)
+		if err != nil {
+			continue
+		}
+		switch n := left[string(b)]; n {
+		case 0:
+		case 1:
+			delete(left, string(b))
+			p.DeleteSlot(i)
+		default:
+			left[string(b)] = n - 1
+			p.DeleteSlot(i)
+		}
+	}
 }

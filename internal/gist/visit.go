@@ -195,14 +195,10 @@ func (o *op) visitInternal(f *buffer.Frame, se stackEntry, query []byte, stack [
 				chased = true
 			}
 		}
-		childNSN := v.ctr
-		if t.cfg.ParentLSNOpt {
-			childNSN = p.LSN()
-		}
 		for i := 0; i < p.NumSlots(); i++ {
 			if pred, ok := p.PredAt(i); ok && t.ops.Consistent(pred, query) {
 				child := p.ChildAt(i)
-				stack = append(stack, stackEntry{pg: child, nsn: childNSN})
+				stack = append(stack, stackEntry{pg: child, nsn: v.ctr})
 			}
 		}
 		if !v.valid() {
@@ -351,9 +347,6 @@ func (o *op) descend(f *buffer.Frame, pg page.PageID, curNSN page.LSN, key []byt
 		if slot >= 0 {
 			child = v.p.ChildAt(slot)
 			next = v.ctr
-			if t.cfg.ParentLSNOpt {
-				next = v.p.LSN()
-			}
 		}
 		if !v.valid() {
 			o.optRestarts++

@@ -106,6 +106,15 @@ func (h *File) Pending() int {
 	return n
 }
 
+// Place puts a page that may have room on top of the placement list. A
+// restarted heap places the page it was filling before the crash, so the
+// room left there is used again.
+func (h *File) Place(id page.PageID) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.pushFree(id)
+}
+
 // pushFree puts id on top of the placement list unless it is there.
 // Caller holds h.mu.
 func (h *File) pushFree(id page.PageID) {
@@ -178,7 +187,6 @@ func (h *File) InsertCtx(ctx context.Context, tx *txn.Txn, rec []byte) (page.RID
 	if err != nil {
 		return page.RID{}, err
 	}
-	f.Page.SetFlags(page.FlagHeap)
 	id := f.ID()
 	// Page allocation is a structure modification: make it permanent
 	// immediately via a nested top action so a later rollback of tx does

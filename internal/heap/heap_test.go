@@ -190,7 +190,6 @@ func TestRedoReplaysInsertAndDelete(t *testing.T) {
 	tx.Commit()
 
 	stale := page.New(rid.Page, 0)
-	stale.SetFlags(page.FlagHeap)
 	var insRec *wal.Record
 	e.log.Scan(1, func(r *wal.Record) bool {
 		if r.Type == wal.RecHeapInsert {

@@ -260,8 +260,18 @@ func (p *Page) DeleterAt(i int) TxnID {
 // or -1 if the page holds no such entry (which tells an ascending insert
 // operation that the parent has split and it must move right; §6).
 func (p *Page) FindChild(child PageID) int {
-	for i := 0; i < p.NumSlots(); i++ {
-		if _, ok := p.PredAt(i); ok && p.ChildAt(i) == child {
+	// Compare each slot's child pointer (the body's last four bytes)
+	// first and validate the slot only on a match: restart redo, replica
+	// apply and every BP update find their parent slot here.
+	n := min(p.NumSlots(), (Size-HeaderSize)/slotSize)
+	for i := 0; i < n; i++ {
+		off, length := p.slot(i)
+		end := int(off) + int(length)
+		if length < internalOverhead || end > Size ||
+			PageID(binary.BigEndian.Uint32(p.buf[end-4:end])) != child {
+			continue
+		}
+		if _, ok := p.PredAt(i); ok {
 			return i
 		}
 	}

@@ -104,8 +104,6 @@ const (
 	// FlagDeallocated marks a page that has been freed (Free-Page log
 	// record, Table 1) and is awaiting reuse.
 	FlagDeallocated uint16 = 1 << iota
-	// FlagHeap marks a heap (data) page rather than an index node.
-	FlagHeap
 )
 
 const slotSize = 4

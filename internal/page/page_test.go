@@ -35,7 +35,7 @@ func TestHeaderRoundTrip(t *testing.T) {
 	p.SetLSN(123456789)
 	p.SetNSN(987654321)
 	p.SetRightlink(99)
-	p.SetFlags(FlagHeap)
+	p.SetFlags(FlagDeallocated)
 	if p.LSN() != 123456789 {
 		t.Errorf("LSN = %d", p.LSN())
 	}
@@ -45,7 +45,7 @@ func TestHeaderRoundTrip(t *testing.T) {
 	if p.Rightlink() != 99 {
 		t.Errorf("Rightlink = %d", p.Rightlink())
 	}
-	if p.Flags() != FlagHeap {
+	if p.Flags() != FlagDeallocated {
 		t.Errorf("Flags = %d", p.Flags())
 	}
 	if !p.IsLeaf() {

@@ -39,6 +39,23 @@ func checkViewsMatchDecode(t *testing.T, p *Page) {
 			t.Fatalf("slot %d: ChildAt = %d, DecodeEntry.Child = %d", i, c, e.Child)
 		}
 	}
+	if leaf {
+		return
+	}
+	// FindChild returns the first accepted slot pointing at each child.
+	first := map[PageID]int{}
+	for i := 0; i < p.NumSlots(); i++ {
+		if _, ok := p.PredAt(i); ok {
+			if _, seen := first[p.ChildAt(i)]; !seen {
+				first[p.ChildAt(i)] = i
+			}
+		}
+	}
+	for child, i := range first {
+		if got := p.FindChild(child); got != i {
+			t.Fatalf("FindChild(%d) = %d, want slot %d", child, got, i)
+		}
+	}
 }
 
 // touchAllViews calls every slot reader on every slot index of p, plus one

@@ -146,12 +146,12 @@ func (ap *Applier) MaxTxnID() page.TxnID { return page.TxnID(ap.maxTxn) }
 // UndoLosers is promotion's undo pass: abort every transaction that was
 // in flight at the end of the stream, through the undo handlers registered
 // on the transaction manager, writing CLRs to the (now read-write) replica
-// log. It mirrors Recovery.Run's undo phase — same deterministic descending
-// lastLSN order, same fan-out — and returns the number undone.
+// log. It is Recovery.Run's undo phase — one pass in descending LSN order
+// over every loser — and returns the number undone.
 func (ap *Applier) UndoLosers() (int, error) {
 	a := &Analysis{Losers: ap.losers}
 	var st Stats
-	if err := ap.r.undo(a, &st, ap.r.workers()); err != nil {
+	if err := ap.r.undo(a, &st); err != nil {
 		return st.Undone, err
 	}
 	ap.losers = make(map[page.TxnID]page.LSN)

@@ -14,10 +14,11 @@
 // every page-modifying record into a per-page redo queue; the queues drain
 // on Workers goroutines (redo is page-independent, so per-queue LSN order is
 // the only order that matters), with a DPT-driven prefetcher warming the
-// pool ahead of the drain; losers are undone concurrently after sorting by
-// descending lastLSN. Workers=1 reproduces the serial restart exactly —
-// record at a time in global LSN order — which is the determinism gate the
-// crashfuzz repro workflow and the equivalence tests rely on.
+// pool ahead of the drain; losers are then undone in one pass in descending
+// LSN order over all of them. Workers=1 reproduces the serial restart
+// exactly — record at a time in global LSN order — which is the
+// determinism gate the crashfuzz repro workflow and the equivalence tests
+// rely on.
 package recovery
 
 import (
@@ -49,10 +50,14 @@ type Recovery struct {
 	Disk storage.Manager
 	TM   *txn.Manager
 
-	// Workers is the fan-out of the redo drain and the loser undo. Zero
-	// means shards.Workers() (GOMAXPROCS, clamped); 1 forces the serial
+	// Workers is the fan-out of the redo drain. Zero means
+	// shards.Workers() (GOMAXPROCS, clamped); 1 forces the serial
 	// single-goroutine order.
 	Workers int
+
+	// heapPages lists the pages the retained log's heap inserts wrote,
+	// least recently first (see HeapPages).
+	heapPages []page.PageID
 
 	metricsOnce sync.Once
 	reg         *stats.Registry
@@ -100,6 +105,8 @@ type redoPlan struct {
 	// touch those — its transient pin could collide with the drain's
 	// Pool.Deallocate.
 	dealloc map[page.PageID]bool
+	// heapLast maps each page a heap insert wrote to its last such LSN.
+	heapLast map[page.PageID]page.LSN
 }
 
 func (r *Recovery) initMetrics() {
@@ -159,6 +166,7 @@ func (r *Recovery) Run(register func() error) (*Stats, error) {
 		return &Stats{}, fmt.Errorf("recovery: %w", err)
 	}
 	st := &Stats{Analyzed: n, Losers: len(a.Losers)}
+	r.heapPages = plan.heapPages()
 	r.analyzed.Add(int64(n))
 	r.losers.Add(int64(len(a.Losers)))
 
@@ -180,7 +188,7 @@ func (r *Recovery) Run(register func() error) (*Stats, error) {
 	}
 
 	t0 = time.Now()
-	err = r.undo(a, st, workers)
+	err = r.undo(a, st)
 	r.undoNanos.Add(time.Since(t0).Nanoseconds())
 	r.undone.Add(int64(st.Undone))
 	if err != nil {
@@ -255,8 +263,9 @@ func (r *Recovery) scan() (*Analysis, int, *redoPlan, error) {
 		}
 	}
 	plan := &redoPlan{
-		byPage:  make(map[page.PageID][]*wal.Record),
-		dealloc: make(map[page.PageID]bool),
+		byPage:   make(map[page.PageID][]*wal.Record),
+		dealloc:  make(map[page.PageID]bool),
+		heapLast: make(map[page.PageID]page.LSN),
 	}
 	n := 0
 	var aerr error
@@ -317,6 +326,8 @@ func (r *Recovery) scan() (*Analysis, int, *redoPlan, error) {
 			switch base, clr := rec.Type.Base(), rec.Type.IsCLR(); {
 			case base == wal.RecFreePage && !clr, base == wal.RecGetPage && clr:
 				plan.dealloc[rec.Pg] = true
+			case rec.Type == wal.RecHeapInsert:
+				plan.heapLast[rec.Pg] = rec.LSN
 			}
 		}
 		return true
@@ -346,6 +357,22 @@ func (r *Recovery) scan() (*Analysis, int, *redoPlan, error) {
 		a.RedoLSN = base + 1
 	}
 	return a, n, plan, nil
+}
+
+// HeapPages returns the pages heap inserts wrote in the retained log, as
+// the last Run found them, least recently written first; the last one is
+// the page the heap was filling when the log ends. Collected by the
+// analysis scan, it costs no page read.
+func (r *Recovery) HeapPages() []page.PageID { return r.heapPages }
+
+// heapPages returns the pages heap inserts wrote, least recently first.
+func (p *redoPlan) heapPages() []page.PageID {
+	pgs := make([]page.PageID, 0, len(p.heapLast))
+	for pg := range p.heapLast {
+		pgs = append(pgs, pg)
+	}
+	sort.Slice(pgs, func(i, j int) bool { return p.heapLast[pgs[i]] < p.heapLast[pgs[j]] })
+	return pgs
 }
 
 // touchedPages lists the pages whose images a record's redo modifies.
@@ -517,19 +544,16 @@ func (r *Recovery) redoOnPage(rec *wal.Record, pg page.PageID, st *Stats) error 
 			}
 		}
 		if base == wal.RecFreePage && !clr {
-			// Apply the content flag if the page still exists, then free.
-			// Count the record as redone only if it changed something: the
-			// flag was stamped, or the allocation state transitioned.
+			// Apply the content flag (gist.Redo) if the page still
+			// exists, then free. Count the record as redone only if it
+			// changed something: the flag was stamped, or the allocation
+			// state transitioned.
 			applied := false
 			f, err := r.Pool.Fetch(rec.Pg)
 			switch {
 			case err == nil:
 				f.Latch.Acquire(latch.X)
-				if f.Page.LSN() < rec.LSN {
-					f.Page.SetFlags(f.Page.Flags() | page.FlagDeallocated)
-					f.Page.SetLSN(rec.LSN)
-					applied = true
-				}
+				applied = f.Page.LSN() < rec.LSN && gist.Redo(rec, &f.Page, rec.Pg) == nil
 				f.Latch.Release(latch.X)
 				r.Pool.Unpin(f, applied, rec.LSN)
 			case errors.Is(err, storage.ErrNoSuchPage):
@@ -633,15 +657,15 @@ func redoTreeOnPage(rec *wal.Record, p *page.Page, pg page.PageID) error {
 
 // undo rolls back every loser transaction through the registered undo
 // handlers, exactly as a runtime abort would, writing CLRs so that a crash
-// during restart resumes correctly. Losers are sorted by descending lastLSN
-// (ties by id) so the undo order — and with workers > 1 the worker
-// assignment — is identical on every restart from the same survivor state;
-// the historical map iteration made crashfuzz repros differ run to run.
-// Each loser's backchain is independent and the undo handlers run through
-// the runtime latch/lock stack, so the aborts themselves can proceed
-// concurrently; adoption stays serial (in sorted order) because it advances
-// the manager's transaction-id high-water mark with a plain load/store.
-func (r *Recovery) undo(a *Analysis, st *Stats, workers int) error {
+// during restart resumes correctly. The losers' records are undone in one
+// pass in descending LSN order over all of them (txn.Rollback): a loser's
+// interrupted structure modification can have moved another loser's
+// earlier entry, so the backchains are not independent. Losers are adopted
+// in descending lastLSN order (ties by id), so their Abort records, and
+// with them the whole restart, are identical on every run from the same
+// survivor state; the historical map iteration made crashfuzz repros
+// differ run to run.
+func (r *Recovery) undo(a *Analysis, st *Stats) error {
 	if len(a.Losers) == 0 {
 		return nil
 	}
@@ -667,44 +691,10 @@ func (r *Recovery) undo(a *Analysis, st *Stats, workers int) error {
 		}
 		txs[i] = tx
 	}
-	if workers <= 1 || len(losers) == 1 {
-		for i, tx := range txs {
-			if err := tx.Abort(); err != nil {
-				return fmt.Errorf("loser %d: %w", losers[i].id, err)
-			}
-			st.Undone++
-		}
-		return nil
+	if err := txn.Rollback(txs...); err != nil {
+		return err
 	}
-	if workers > len(losers) {
-		workers = len(losers)
-	}
-	// Strided deterministic assignment: worker w aborts losers w, w+W, ...
-	var wg sync.WaitGroup
-	errs := make([]error, workers)
-	counts := make([]int, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < len(txs); i += workers {
-				if err := txs[i].Abort(); err != nil {
-					errs[w] = fmt.Errorf("loser %d: %w", losers[i].id, err)
-					return
-				}
-				counts[w]++
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, c := range counts {
-		st.Undone += c
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
+	st.Undone = len(txs)
 	return nil
 }
 

@@ -568,31 +568,38 @@ func (tx *Txn) RollbackToLSN(stop page.LSN) error {
 // undoTo walks the backchain undoing records until lastLSN's chain position
 // reaches stop (exclusive).
 func (tx *Txn) undoTo(stop page.LSN) error {
-	cur := tx.LastLSN()
-	for cur > stop {
-		r, err := tx.mgr.log.Get(cur)
-		if err != nil {
-			return fmt.Errorf("txn %d undo: %w", tx.id, err)
+	for cur := tx.LastLSN(); cur > stop; {
+		var err error
+		if cur, err = tx.undoStep(cur); err != nil {
+			return err
 		}
-		if r.Type.IsCLR() || r.Type == wal.RecDummyCLR {
-			cur = r.UndoNext
-			continue
-		}
-		switch r.Type {
-		case wal.RecBegin, wal.RecAbort, wal.RecCheckpoint:
-			cur = r.PrevLSN
-			continue
-		}
-		undo, ok := tx.mgr.Undoer(r.Type)
-		if !ok {
-			return fmt.Errorf("%w: %v (lsn %d)", ErrNoUndoer, r.Type, r.LSN)
-		}
-		if err := undo(r, tx); err != nil {
-			return fmt.Errorf("txn %d undo %v at %d: %w", tx.id, r.Type, r.LSN, err)
-		}
-		cur = r.PrevLSN
 	}
 	return nil
+}
+
+// undoStep undoes the record at lsn of tx's backchain if it is an update
+// (a CLR or dummy CLR skips to its UndoNext) and returns the next LSN of
+// the chain to visit.
+func (tx *Txn) undoStep(lsn page.LSN) (page.LSN, error) {
+	r, err := tx.mgr.log.Get(lsn)
+	if err != nil {
+		return 0, fmt.Errorf("txn %d undo: %w", tx.id, err)
+	}
+	if r.Type.IsCLR() || r.Type == wal.RecDummyCLR {
+		return r.UndoNext, nil
+	}
+	switch r.Type {
+	case wal.RecBegin, wal.RecAbort, wal.RecCheckpoint:
+		return r.PrevLSN, nil
+	}
+	undo, ok := tx.mgr.Undoer(r.Type)
+	if !ok {
+		return 0, fmt.Errorf("%w: %v (lsn %d)", ErrNoUndoer, r.Type, r.LSN)
+	}
+	if err := undo(r, tx); err != nil {
+		return 0, fmt.Errorf("txn %d undo %v at %d: %w", tx.id, r.Type, r.LSN, err)
+	}
+	return r.PrevLSN, nil
 }
 
 // Commit ends the transaction successfully: forces the Commit record to
@@ -708,30 +715,56 @@ func (tx *Txn) finishCommit() {
 // Abort rolls the transaction back completely and releases its resources.
 // A transaction that logged nothing has nothing to undo and writes no
 // Abort or End record.
-func (tx *Txn) Abort() error {
-	tx.mu.Lock()
-	if tx.state != Active {
-		tx.mu.Unlock()
-		return ErrNotActive
-	}
-	wrote := tx.lastLSN != 0
-	tx.mu.Unlock()
+func (tx *Txn) Abort() error { return Rollback(tx) }
 
-	if wrote {
-		tx.Log(&wal.Record{Type: wal.RecAbort})
-		if err := tx.undoTo(0); err != nil {
+// Rollback aborts the given transactions: their records are undone in one
+// pass in descending LSN order over all of them — ARIES's undo pass —
+// rather than one transaction after the other. Restart needs the global
+// order: a loser's structure modification interrupted by the crash is
+// undone page-oriented, and it can have moved an entry that another loser
+// wrote before it; undoing the entry first removes it where the split put
+// it, and the split's undo then brings it back. With one transaction this
+// is a plain abort.
+func Rollback(txs ...*Txn) error {
+	for _, tx := range txs {
+		if tx.State() != Active {
+			return ErrNotActive
+		}
+	}
+	// cur[i] is the next record of txs[i]'s backchain to visit.
+	cur := make([]page.LSN, len(txs))
+	for i, tx := range txs {
+		if tx.LastLSN() != 0 {
+			cur[i] = tx.Log(&wal.Record{Type: wal.RecAbort})
+		}
+	}
+	for {
+		next := 0
+		for i := range cur {
+			if cur[i] > cur[next] {
+				next = i
+			}
+		}
+		if cur[next] == 0 {
+			break
+		}
+		var err error
+		if cur[next], err = txs[next].undoStep(cur[next]); err != nil {
 			return err
 		}
 	}
-	tx.mu.Lock()
-	tx.state = Aborted
-	tx.mu.Unlock()
-	tx.release()
-	if wrote {
-		tx.Log(&wal.Record{Type: wal.RecEnd})
+	for _, tx := range txs {
+		tx.mu.Lock()
+		tx.state = Aborted
+		wrote := tx.lastLSN != 0
+		tx.mu.Unlock()
+		tx.release()
+		if wrote {
+			tx.Log(&wal.Record{Type: wal.RecEnd})
+		}
+		tx.mgr.finish(tx)
+		tx.mgr.aborts.Inc()
 	}
-	tx.mgr.finish(tx)
-	tx.mgr.aborts.Inc()
 	return nil
 }
 

@@ -57,6 +57,9 @@ type ReplicaDB struct {
 	tm    *txn.Manager
 	heap  *heap.File
 	recv  *repl.Receiver
+	// recorder is the flight recorder the replica's trees trace into; a
+	// promoted DB keeps it.
+	recorder *stats.Recorder
 
 	mu       sync.Mutex
 	indexes  map[string]*ReplicaIndex
@@ -78,12 +81,13 @@ func OpenReplica(opts Options, dial func() (io.ReadWriteCloser, error)) (*Replic
 		opts.PoolPages = 1024
 	}
 	r := &ReplicaDB{
-		opts:    opts,
-		mem:     storage.NewMemDisk(),
-		log:     wal.NewReplicaLog(0),
-		locks:   lock.NewManager(),
-		preds:   predicate.NewManager(),
-		indexes: make(map[string]*ReplicaIndex),
+		opts:     opts,
+		mem:      storage.NewMemDisk(),
+		log:      wal.NewReplicaLog(0),
+		locks:    lock.NewManager(),
+		preds:    predicate.NewManager(),
+		indexes:  make(map[string]*ReplicaIndex),
+		recorder: stats.NewRecorder(opts.RecentOps, opts.SlowOpThreshold),
 	}
 	r.disk = r.mem
 	if opts.IOLatency > 0 {
@@ -159,12 +163,7 @@ func (r *ReplicaDB) OpenIndex(name string, ops Ops) (*ReplicaIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := gist.Config{
-		Ops:          ops,
-		MaxEntries:   r.opts.MaxEntries,
-		ParentLSNOpt: r.opts.ParentLSNOpt,
-	}
-	tree, err := gist.Open(r.pool, r.tm, cfg, anchor)
+	tree, err := gist.Open(r.pool, r.tm, treeConfig(r.opts, r.recorder, ops), anchor)
 	if err != nil {
 		return nil, err
 	}
@@ -223,17 +222,18 @@ func (r *ReplicaDB) Promote() (*DB, error) {
 	}
 
 	db := &DB{
-		opts:    r.opts,
-		disk:    r.disk,
-		mem:     r.mem,
-		log:     r.log,
-		pool:    r.pool,
-		locks:   r.locks,
-		preds:   r.preds,
-		tm:      r.tm,
-		heap:    r.heap,
-		indexes: make(map[string]*Index),
-		catalog: catalogPage,
+		opts:     r.opts,
+		disk:     r.disk,
+		mem:      r.mem,
+		log:      r.log,
+		pool:     r.pool,
+		locks:    r.locks,
+		preds:    r.preds,
+		tm:       r.tm,
+		heap:     r.heap,
+		indexes:  make(map[string]*Index),
+		catalog:  catalogPage,
+		recorder: r.recorder,
 	}
 	r.mu.Lock()
 	for name, rix := range r.indexes {

@@ -19,6 +19,7 @@ import (
 	gistdb "repro"
 	"repro/internal/btree"
 	"repro/internal/page"
+	"repro/internal/stats"
 )
 
 // pipeDial returns a dial function wiring each connection to the primary's
@@ -693,6 +694,68 @@ func TestReplicaPromote(t *testing.T) {
 		t.Fatalf("promoted primary invariants: %v", err)
 	}
 	_ = loser // still open on the old primary; irrelevant after failover
+}
+
+// TestPromotedReplicaTraces: a primary that came from a promoted replica
+// keeps the flight recorder. Its operations and commits are traced into
+// RecentOps, through indexes opened on the replica before the failover and
+// on the new primary after it.
+func TestPromotedReplicaTraces(t *testing.T) {
+	if !stats.Enabled {
+		t.Skip("statsoff build: instrumentation compiled out")
+	}
+	db, err := gistdb.Open(gistdb.Options{MaxEntries: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	idx, err := db.CreateIndex("ints", btree.Ops{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx, _ := db.Begin()
+	if _, err := idx.Insert(tx, btree.EncodeKey(1), []byte("v1")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := gistdb.OpenReplica(gistdb.Options{MaxEntries: 8}, pipeDial(db))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitApplied(t, db, rep)
+	if _, err := rep.OpenIndex("ints", btree.Ops{}); err != nil {
+		t.Fatal(err)
+	}
+	promoted, err := rep.Promote()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer promoted.Close()
+	pidx, err := promoted.OpenIndex("ints", btree.Ops{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx, err = promoted.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pidx.Insert(tx, btree.EncodeKey(2), []byte("v2")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, op := range promoted.RecentOps() {
+		if op.Txn == tx.ID() {
+			seen[op.Op] = true
+		}
+	}
+	if !seen["insert"] || !seen["commit"] {
+		t.Fatalf("promoted primary traced %v for the committed insert's transaction, want insert and commit", seen)
+	}
 }
 
 // TestReplicaChurnConverges drives a concurrent insert/delete workload —
