@@ -167,11 +167,11 @@ type Pool struct {
 	hits          *stats.Counter
 	misses        *stats.Counter
 	evicts        *stats.Counter
-	steals        *stats.Counter // frames migrated between shards
-	stealBatches  *stats.Counter // steal operations (steals ÷ batches = batch size)
-	contended     *stats.Counter // shard mutex acquisitions that blocked
-	ringHits      *stats.Counter // steals satisfied by the preferred ring neighbor
-	loadWaitNanos *stats.Counter // time spent parked on Loading/Writing frames
+	steals        *stats.Counter   // frames migrated between shards
+	stealBatches  *stats.Counter   // steal operations (steals ÷ batches = batch size)
+	contended     *stats.Counter   // shard mutex acquisitions that blocked
+	ringHits      *stats.Counter   // steals satisfied by the preferred ring neighbor
+	loadWaitNanos *stats.Counter   // time spent parked on Loading/Writing frames
 	loadHist      *stats.Histogram // per-fetch off-fast-path latency (parks + disk reads)
 	stealHist     *stats.Histogram // cross-shard steal walk latency
 
@@ -832,6 +832,7 @@ func (s *shard) victimLocked() *Frame {
 // created in the frame — so NewPage is safe to call with latches held (a
 // split formats its new sibling while the original stays latched).
 // Allocation is made recoverable by the caller via a Get-Page log record.
+// When no frame can be claimed the disk page is given back.
 func (p *Pool) NewPage(level uint16) (*Frame, error) {
 	id, err := p.disk.Allocate()
 	if err != nil {
@@ -843,7 +844,7 @@ func (p *Pool) NewPage(level uint16) (*Frame, error) {
 		f, _, err := p.claimLocked(nil, s)
 		if err != nil {
 			s.mu.Unlock()
-			return nil, err
+			return nil, errors.Join(err, p.disk.Deallocate(id))
 		}
 		if f == nil {
 			continue

@@ -127,12 +127,15 @@ func TestWALRuleOnEviction(t *testing.T) {
 // own pins, which nothing will release, so the claim ends in
 // ErrPoolExhausted after the deadlock period (shortened here).
 func TestPoolExhausted(t *testing.T) {
-	p, _ := newPoolDisk(t, 2)
+	p, d := newPoolDisk(t, 2)
 	p.deadlockAfter = 20 * time.Millisecond
 	a, _ := p.NewPage(0)
 	b, _ := p.NewPage(0)
 	if _, err := p.NewPage(0); !errors.Is(err, ErrPoolExhausted) {
 		t.Errorf("err = %v, want ErrPoolExhausted", err)
+	}
+	if n := d.NumAllocated(); n != 2 {
+		t.Errorf("%d pages allocated after the failed NewPage, want 2", n)
 	}
 	p.Unpin(a, false, 0)
 	if _, err := p.Fetch(b.ID()); err != nil { // re-pin cached page still fine

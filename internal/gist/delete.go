@@ -105,7 +105,8 @@ func (o *op) markDeleted(f *buffer.Frame, slot int) error {
 
 // gcLeafLocked removes, from an X-latched leaf, every logically deleted
 // entry whose deleting transaction has terminated (necessarily by commit:
-// aborts unmark during rollback). It runs as its own atomic action and,
+// aborts unmark during rollback). It logs one redo-only Garbage-Collection
+// record, an atomic action that needs no nested top action, and,
 // when entries were removed, shrinks the parent's bounding predicate
 // (best effort, one level). This is the "node reorganization" performed by
 // operations passing through the node (§7.1). A leaf left empty is unlinked
@@ -136,12 +137,7 @@ func (o *op) gcLeafLocked(f *buffer.Frame, stack []pathEntry, unlink bool) {
 	if len(bodies) == 0 {
 		return
 	}
-	if err := o.tx.BeginNTA(); err != nil {
-		return // another SMO is open; GC is an optimization, skip
-	}
-	err := o.logApply(&wal.Record{Type: wal.RecGarbageCollection, Pg: f.ID(), Moved: bodies}, f)
-	o.tx.EndNTA()
-	if err != nil {
+	if o.logApply(&wal.Record{Type: wal.RecGarbageCollection, Pg: f.ID(), Moved: bodies}, f) != nil {
 		return
 	}
 	t.Stats.GCRuns.Add(1)
@@ -179,7 +175,8 @@ func (t *Tree) GCLeaf(tx *txn.Txn, pg page.PageID) error {
 }
 
 // shrinkParentBP tightens the parent entry of an X-latched node to the
-// node's current computed BP, as one atomic action. Safe against concurrent
+// node's current computed BP, as one redo-only Parent-Entry-Update (an
+// atomic action without a nested top action). Safe against concurrent
 // inserts because an inserter holds the leaf latch continuously from its BP
 // expansion until its entry is physically installed, so a shrink can never
 // observe the window between the two.
@@ -196,26 +193,18 @@ func (o *op) shrinkParentBP(f *buffer.Frame, stack []pathEntry) {
 	if err != nil || parentF == nil {
 		return
 	}
-	defer func() {
-		o.unlatchPage(parentF, latch.X)
-		if ownPin {
-			t.pool.Unpin(parentF, false, 0)
-		}
-	}()
+	defer o.releaseParent(parentF, ownPin)
 	if oldPred, _ := parentF.Page.PredAt(slot); bytes.Equal(oldPred, newBP) {
-		return
-	}
-	if err := o.tx.BeginNTA(); err != nil {
 		return
 	}
 	if o.logApply(&wal.Record{Type: wal.RecParentEntryUpdate, Pg: parentF.ID(), Pg2: f.ID(), Body: newBP}, parentF) == nil {
 		t.Stats.BPUpdates.Add(1)
 	}
-	o.tx.EndNTA()
 }
 
 // tryDeleteNode unlinks an empty, X-latched leaf from the tree: it removes
-// the parent entry and logs the page free, as one atomic action. Other
+// the parent entry and logs the page free, as one structure modification
+// that holds the parent until it ends. Other
 // operations may still hold pointers to the leaf — on a traversal stack or
 // in a cursor's savepoint mark — so the page keeps its NSN and rightlink
 // and is only quarantined: it is reused once every transaction active now
@@ -242,29 +231,22 @@ func (o *op) tryDeleteNode(f *buffer.Frame, stack []pathEntry) {
 	if err != nil || parentF == nil {
 		return
 	}
-	defer func() {
-		o.unlatchPage(parentF, latch.X)
-		if ownPin {
-			t.pool.Unpin(parentF, false, 0)
-		}
-	}()
 	// Keep at least one child under the parent: deleting the parent's
 	// last entry would require recursive node deletion up the tree;
 	// retried later when the parent itself is collected.
 	if parentF.Page.NumSlots() <= 1 {
+		o.releaseParent(parentF, ownPin)
 		return
 	}
-
-	if err := o.tx.BeginNTA(); err != nil {
-		return
-	}
+	o.hold(parentF, ownPin)
 	entryBody, _ := parentF.Page.SlotBytes(slot)
-	err = o.logApply(&wal.Record{Type: wal.RecInternalEntryDelete, Pg: parentF.ID(), Body: append([]byte(nil), entryBody...)}, parentF)
-	if err == nil {
-		err = o.logApply(freePageRecord(f), f)
-	}
-	o.tx.EndNTA()
-	if err != nil {
+	if err := o.smo(func() error {
+		err := o.logApply(&wal.Record{Type: wal.RecInternalEntryDelete, Pg: parentF.ID(), Body: append([]byte(nil), entryBody...)}, parentF)
+		if err != nil {
+			return err
+		}
+		return o.logApply(freePageRecord(f), f)
+	}); err != nil {
 		return
 	}
 
@@ -408,7 +390,7 @@ func (t *Tree) DeadEntries() int64 {
 }
 
 // Destroy walks the whole tree and frees every node page plus the anchor,
-// inside nested top actions so the deallocation is recoverable. The tree
+// as one structure modification so the deallocation is recoverable. The tree
 // must be quiesced and is unusable afterwards. Used by index drop.
 func (t *Tree) Destroy(tx *txn.Txn) error {
 	o := t.opEnter(tx)
@@ -450,36 +432,37 @@ func (t *Tree) Destroy(tx *txn.Txn) error {
 	}
 	pages = append(pages, t.anchor)
 
-	if err := tx.BeginNTA(); err != nil {
+	// On error the pages already logged free stay undoable: the caller's
+	// rollback brings the tree back whole, so nothing is quarantined.
+	if err := o.smo(func() error {
+		for _, pg := range pages {
+			f, err := o.fetch(pg)
+			if err != nil {
+				return err
+			}
+			o.latchPage(f, latch.X)
+			err = o.logApply(freePageRecord(f), f)
+			o.unlatchPage(f, latch.X)
+			t.pool.Unpin(f, false, 0)
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
 		return err
 	}
-	for i, pg := range pages {
-		f, err := o.fetch(pg)
-		if err != nil {
-			tx.EndNTA()
-			t.drain(pages[:i]...)
-			return err
-		}
-		o.latchPage(f, latch.X)
-		err = o.logApply(freePageRecord(f), f)
-		o.unlatchPage(f, latch.X)
-		t.pool.Unpin(f, false, 0)
-		if err != nil {
-			tx.EndNTA()
-			t.drain(pages[:i]...)
-			return err
-		}
+	for _, pg := range pages {
 		t.preds.DropNode(pg)
 	}
-	tx.EndNTA()
 	t.drain(pages...)
 	t.Close() // release the anchor pin so the page can be reused
 	return nil
 }
 
 // freePageRecord is the Free-Page record of f: it carries the node's
-// identity, NSN and rightlink, so undoing the free can rebuild the empty
-// node.
+// identity, NSN and rightlink, so undoing the free can rebuild the node
+// where its image was lost.
 func freePageRecord(f *buffer.Frame) *wal.Record {
 	return &wal.Record{
 		Type:     wal.RecFreePage,

@@ -227,29 +227,43 @@ func anchorRootOf(p *page.Page) (page.PageID, error) {
 }
 
 // Create allocates and initializes a new empty tree: an anchor page and an
-// empty leaf root, all logged inside a bootstrap transaction so the tree is
-// recoverable from its first moment.
+// empty leaf root, logged in a bootstrap transaction so the tree is
+// recoverable from its first moment. The transaction holds nothing but
+// these records, so they need no nested top action; on any error before
+// its commit it is aborted.
 func Create(pool *buffer.Pool, tm *txn.Manager, cfg Config) (*Tree, error) {
 	if cfg.Ops == nil {
 		return nil, errors.New("gist: Config.Ops is required")
 	}
 	t := newTree(pool, tm, cfg)
-
 	tx, err := tm.Begin()
 	if err != nil {
 		return nil, err
 	}
-	if err := tx.BeginNTA(); err != nil {
+	if err := t.create(tx); err != nil {
+		_ = tx.Abort() // the create error is the one to report
 		return nil, err
 	}
-	anchorF, err := pool.NewPage(0)
+	if err := tx.Commit(); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// create allocates both pages first, so a failed allocation leaves nothing
+// logged and nothing allocated, then logs them in tx.
+func (t *Tree) create(tx *txn.Txn) error {
+	anchorF, err := t.pool.NewPage(0)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	rootF, err := pool.NewPage(0)
+	rootF, err := t.pool.NewPage(0)
 	if err != nil {
-		return nil, err
+		t.pool.Unpin(anchorF, false, 0)
+		_ = t.pool.Deallocate(anchorF.ID()) // best effort: the allocation error is the one to report
+		return err
 	}
+	defer t.pool.Unpin(rootF, false, 0)
 	// Each page's recLSN is its FIRST record (the allocation), not the
 	// Root-Change logged last: a checkpoint between them must not let
 	// restart redo start past the pages' formatting records.
@@ -262,17 +276,12 @@ func Create(pool *buffer.Pool, tm *txn.Manager, cfg Config) (*Tree, error) {
 		err = o.logApply(&wal.Record{Type: wal.RecRootChange, Pg: anchorF.ID(), Pg2: rootF.ID()}, anchorF)
 	}
 	if err != nil {
-		return nil, err
+		t.pool.Unpin(anchorF, false, 0)
+		return err
 	}
-	tx.EndNTA()
-
 	t.anchor = anchorF.ID()
 	t.anchorF = anchorF // stays pinned for the tree's lifetime
-	pool.Unpin(rootF, false, 0)
-	if err := tx.Commit(); err != nil {
-		return nil, err
-	}
-	return t, nil
+	return nil
 }
 
 // Open attaches to an existing tree whose anchor page is known (recorded by
@@ -336,8 +345,8 @@ type op struct {
 	ctx     context.Context // nil = never cancelled
 	latches int
 
-	// smoHeld releases the ancestor latches an open split SMO keeps until
-	// its nested top action has ended (see splitSMO).
+	// smoHeld releases the latches and reserved pages an open structure
+	// modification keeps until its nested top action has ended (see smo).
 	smoHeld []func()
 
 	// snap is the page node views copy into, taken from snapPool on
@@ -377,19 +386,74 @@ func (t *Tree) opEnterCtx(ctx context.Context, tx *txn.Txn) *op {
 
 // check is the safe-point cancellation test: it returns the context's error
 // at a node-visit boundary, where the operation holds no latch it cannot
-// release and is outside any nested top action.
+// release. Inside a nested top action it never fires: a structure
+// modification, once begun, runs to completion rather than being unwound
+// for a deadline, while it holds the latches other operations wait on.
 func (o *op) check() error {
-	if o.ctx == nil {
-		return nil
-	}
-	if o.tx.InNTA() {
-		// Never observe cancellation inside a nested top action: the
-		// structure modification must run to completion (its error path
-		// writes the dummy CLR, which would otherwise fence a half-done
-		// split off from undo).
+	if o.ctx == nil || o.tx.InNTA() {
 		return nil
 	}
 	return o.ctx.Err()
+}
+
+// smo runs body as one structure modification: a nested top action (§9)
+// whose records are undone until its dummy CLR is logged and are permanent
+// after it. A split's body does all fallible work — latching, PickSplit,
+// page reservation — before its first record, so it fails having logged
+// nothing. On success smo logs the dummy CLR; on error it abandons the
+// action without one, so a record a body did log (Destroy's, after a
+// failed fetch) stays undoable by the transaction's rollback. Either way the latches and reserved pages
+// the body queued on o.smoHeld are released last, in reverse order: until
+// the dummy CLR, a crash makes restart undo the SMO page by page, which is
+// correct only while no other transaction has changed those pages.
+func (o *op) smo(body func() error) error {
+	err := o.tx.BeginNTA()
+	if err == nil {
+		if err = body(); err == nil {
+			o.tx.EndNTA()
+		} else {
+			o.tx.AbandonNTA()
+		}
+	}
+	for i := len(o.smoHeld) - 1; i >= 0; i-- {
+		o.smoHeld[i]()
+	}
+	o.smoHeld = o.smoHeld[:0]
+	return err
+}
+
+// hold keeps the X-latched f until the open SMO ends (see release).
+func (o *op) hold(f *buffer.Frame, pinned bool) {
+	o.smoHeld = append(o.smoHeld, o.release(f, pinned))
+}
+
+// release returns the release of an X-latched frame at the end of an SMO:
+// unlatch it and, if pinned is set, unpin it. A page no record has reached
+// — one reserved for a split that failed before logging — goes back to the
+// disk.
+func (o *op) release(f *buffer.Frame, pinned bool) func() {
+	return func() {
+		unused := f.Page.LSN() == 0
+		o.unlatchPage(f, latch.X)
+		if pinned {
+			o.t.pool.Unpin(f, false, 0)
+			if unused {
+				// Best effort: a page left allocated only leaks.
+				_ = o.t.pool.Deallocate(f.ID())
+			}
+		}
+	}
+}
+
+// reserve allocates an X-latched page at the given level, held until the
+// open SMO ends.
+func (o *op) reserve(level uint16) (*buffer.Frame, error) {
+	f, err := o.t.pool.NewPage(level)
+	if err == nil {
+		o.latchPage(f, latch.X)
+		o.hold(f, true)
+	}
+	return f, err
 }
 
 // context returns the operation's context, or Background when it has none

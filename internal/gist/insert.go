@@ -418,342 +418,319 @@ func (o *op) findParentSlowFrom(root, child page.PageID, childLevel uint16) (*bu
 	return nil, 0, false, fmt.Errorf("gist: parent of node %d not found", child)
 }
 
-// splitSMO splits the latched node (recursively splitting ancestors as
-// needed) as one atomic structure modification, then returns the better
-// insertion target for key between the original node and the new sibling,
-// X-latched. The loser is unlatched and unpinned.
-//
-// Every page the SMO changes stays X-latched until its nested top action
-// has ended: f and the sibling by this function, the ancestors splitNode
-// updated through o.smoHeld. Until the NTA's dummy CLR is logged, a crash
-// makes restart undo the SMO page by page — restoring the parent entry's
-// old predicate, deleting the added downlink by content, moving split
-// entries back — which is correct only while no other transaction has
-// changed those pages. Were the parent released sooner, another
-// transaction could split it or tighten its entry in between, and the undo
-// would leave an entry that escapes its parent's BP or a downlink to a
-// freed page.
+// splitSMO splits the latched node f (recursively splitting ancestors as
+// needed) as one structure modification, then returns the better insertion
+// target for key between f and its new sibling, X-latched; the other is
+// released with the SMO's other pages when its nested top action ends
+// (see smo).
 func (o *op) splitSMO(f *buffer.Frame, stack []pathEntry, key []byte) (*buffer.Frame, error) {
 	t := o.t
-	if err := o.tx.BeginNTA(); err != nil {
-		return nil, err
-	}
-	newF, err := o.splitNode(f, stack, page.InvalidPage, nil)
-	if err == nil && t.beforeSplitEnd != nil {
-		t.beforeSplitEnd()
-	}
-	// On error the NTA's records (if any) will be undone if the
-	// transaction aborts; close the bracket either way.
-	o.tx.EndNTA()
-	for i := len(o.smoHeld) - 1; i >= 0; i-- {
-		o.smoHeld[i]()
-	}
-	o.smoHeld = o.smoHeld[:0]
+	keep := f
+	err := o.smo(func() error {
+		levels, err := o.planSplit(f, stack)
+		if err != nil {
+			return err
+		}
+		if err := o.applySplit(levels); err != nil {
+			return err
+		}
+		if t.beforeSplitEnd != nil {
+			t.beforeSplitEnd()
+		}
+		if sib := levels[0].sib; t.chainPenalty(&sib.Page, key) < t.chainPenalty(&f.Page, key) {
+			keep = sib
+			o.smoHeld[levels[0].held] = o.release(f, true)
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	t.Stats.Splits.Add(1)
-
-	// Choose the cheaper target for this key.
-	keep, drop := f, newF
-	if t.chainPenalty(&newF.Page, key) < t.chainPenalty(&f.Page, key) {
-		keep, drop = newF, f
-	}
-	o.unlatchPage(drop, latch.X)
-	t.pool.Unpin(drop, false, 0)
 	return keep, nil
 }
 
-// splitNode is the recursive body of the split SMO (Figure 4's splitNode).
-// Faithful to the paper, the PARENT is latched before the split is
-// performed and the counter incremented: this ordering is what makes
+// splitLevel is one node of a planned split: the node and its reserved
+// sibling, the entries that move and both halves' bounding predicates, and
+// the node's entry in its parent (parent is nil for a root split, which
+// reserves the new root instead).
+type splitLevel struct {
+	node, sib  *buffer.Frame
+	held       int // sib's release in o.smoHeld
+	moved      [][]byte
+	bp, sibBP  []byte
+	parent     *buffer.Frame
+	oldPred    []byte
+	root       *buffer.Frame
+	childMoves bool // the entry of the node split below goes to sib
+}
+
+// planSplit is the plan pass of a split (Figure 4's splitNode): it does
+// every fallible step and logs nothing. Level by level, from f up, it
+// latches the parent (or, for a root split, the anchor), runs PickSplit
+// and computes both halves' bounding predicates; a parent without room for
+// the new entry is planned as the next level. Then it reserves every
+// sibling and, for a root split, the new root. The latches and
+// reservations are queued on o.smoHeld, so a failed plan gives every
+// reserved page back.
+//
+// Faithful to the paper, the parent is latched before the split's record
+// is appended and the counter incremented: this ordering is what makes
 // global-counter memorization sound. A traverser that reads a parent image
 // not yet reflecting this split must have read the counter before the
 // Split record was appended (the parent stays X-latched from before the
 // append until the downlink is installed), so the child's new NSN exceeds
 // the memorized value and the traverser chases the rightlink.
-//
-// Both f and the returned sibling frame are X-latched and pinned on return;
-// on success the parent (or anchor) latch is left to o.smoHeld. When the
-// caller is itself a split whose parent f is, it passes its child's page
-// and extra, the union of the two entries it will write next to each
-// other: the half of f holding child's entry gets a parent entry covering
-// extra too, so no ancestor needs widening after the caller's writes.
-func (o *op) splitNode(f *buffer.Frame, stack []pathEntry, child page.PageID, extra []byte) (*buffer.Frame, error) {
+func (o *op) planSplit(f *buffer.Frame, stack []pathEntry) ([]splitLevel, error) {
 	t := o.t
-
-	// Phase 1: resolve and latch the parent (or the anchor for a root
-	// split) before any logging.
-	var (
-		parentF       *buffer.Frame
-		slot          int
-		ownPin        bool
-		anchorLatched bool
-		isRoot        bool
-	)
-	if len(stack) > 0 {
-		var err error
-		parentF, slot, ownPin, err = o.ascendToParent(stack, f.ID(), f.Page.Level())
+	var levels []splitLevel
+	childSlot := -1 // the lower level's entry in f, above the leaf
+	for {
+		lv := splitLevel{node: f}
+		parentF, slot, err := o.latchParent(f, stack)
 		if err != nil {
 			return nil, err
 		}
-	}
-	if parentF == nil {
-		// f was a traversal root (or the stack went stale). Either it
-		// still is the root — serialize via the anchor latch, held
-		// through the whole root split — or the tree has grown above
-		// it and the true parent is found by full search. The anchor
-		// holder never waits on tree-node latches (it only touches f,
-		// the sibling and freshly allocated private pages), so the
-		// anchor-before-node acquisition cannot deadlock.
-		o.latchPage(t.anchorF, latch.X)
-		root, err := anchorRootOf(&t.anchorF.Page)
+		bodies, preds, stay, err := t.pickSplit(&f.Page)
 		if err != nil {
-			o.unlatchPage(t.anchorF, latch.X)
 			return nil, err
 		}
-		if root == f.ID() {
-			isRoot = true
-			anchorLatched = true
-		} else {
-			o.unlatchPage(t.anchorF, latch.X)
-			parentF, slot, ownPin, err = o.findParentSlow(f.ID(), f.Page.Level())
-			if err != nil {
-				return nil, err
-			}
-			if parentF == nil {
-				return nil, fmt.Errorf("gist: parent of split node %d not found", f.ID())
+		var kept [][]byte
+		for i, b := range bodies {
+			if stay[i] {
+				kept = append(kept, b)
+				lv.bp = t.ops.Union(lv.bp, preds[i])
+			} else {
+				lv.moved = append(lv.moved, b)
+				lv.sibBP = t.ops.Union(lv.sibBP, preds[i])
 			}
 		}
-	}
-	releaseParent := func() {
-		if anchorLatched {
-			o.unlatchPage(t.anchorF, latch.X)
-			anchorLatched = false
-		}
-		if parentF != nil {
-			o.unlatchPage(parentF, latch.X)
-			if ownPin {
-				t.pool.Unpin(parentF, false, 0)
+		if childSlot >= 0 {
+			// The half that keeps the lower node's entry also gets its
+			// sibling's entry, so it must cover both and have room.
+			low := &levels[len(levels)-1]
+			extra := t.ops.Union(low.bp, low.sibBP)
+			lv.childMoves = !stay[childSlot]
+			half := kept
+			if lv.childMoves {
+				lv.sibBP, half = t.ops.Union(lv.sibBP, extra), lv.moved
+			} else {
+				lv.bp = t.ops.Union(lv.bp, extra)
 			}
-			parentF = nil
+			room := page.Size - page.HeaderSize - low.parentGrowth() - page.SlotSize
+			for _, b := range half {
+				room -= len(b) + page.SlotSize
+			}
+			if room < 0 {
+				return nil, fmt.Errorf("gist: split of %d leaves no room for the entries of %d", f.ID(), low.node.ID())
+			}
+		}
+		if parentF == nil {
+			return o.reserveSplit(append(levels, lv))
+		}
+		lv.parent, lv.oldPred = parentF, append([]byte(nil), parentF.Page.MustEntry(slot).Pred...)
+		levels = append(levels, lv)
+		if !t.needsSplit(&parentF.Page, lv.parentGrowth()) {
+			return o.reserveSplit(levels)
+		}
+		// The parent splits too; its grandparent is latched before the
+		// parent's own counter increment.
+		f, childSlot = parentF, slot
+		if len(stack) > 0 {
+			stack = stack[:len(stack)-1]
 		}
 	}
+}
 
-	var oldPred []byte
-	if parentF != nil {
-		oldPred = append([]byte(nil), parentF.Page.MustEntry(slot).Pred...)
+// reserveSplit is the plan's last step: it reserves each level's sibling,
+// and the new root for a root split, as late as it can, so a page's
+// allocation and its Get-Page record stay close together.
+func (o *op) reserveSplit(levels []splitLevel) ([]splitLevel, error) {
+	var err error
+	for i := range levels {
+		lv := &levels[i]
+		if lv.sib, err = o.reserve(lv.node.Page.Level()); err != nil {
+			return nil, err
+		}
+		lv.held = len(o.smoHeld) - 1
 	}
+	if top := &levels[len(levels)-1]; top.parent == nil {
+		top.root, err = o.reserve(top.node.Page.Level() + 1)
+	}
+	return levels, err
+}
 
-	// Phase 2: create the sibling and log the split, with the parent
-	// exclusively latched.
-	leaf := f.Page.IsLeaf()
-	newF, err := t.pool.NewPage(f.Page.Level())
-	if err != nil {
-		releaseParent()
-		return nil, err
-	}
-	o.latchPage(newF, latch.X)
-	releaseNew := func() {
-		o.unlatchPage(newF, latch.X)
-		t.pool.Unpin(newF, true, 0)
-	}
-	// First record on the sibling: it pins the recLSN, so a checkpoint's
-	// redo point never starts past the page's allocation.
-	if err := o.logApply(&wal.Record{Type: wal.RecGetPage, Pg: newF.ID(), Level: f.Page.Level()}, newF); err != nil {
-		releaseNew()
-		releaseParent()
-		return nil, err
-	}
+// parentGrowth is the space the level's two parent writes need: the
+// sibling's new entry plus any growth of the node's own entry.
+func (lv *splitLevel) parentGrowth() int {
+	add := (&page.Entry{Pred: lv.sibBP}).EncodedLen(false)
+	return add + max(0, len(lv.bp)-len(lv.oldPred))
+}
 
-	n := f.Page.NumSlots()
-	preds := make([][]byte, n)
-	bodies := make([][]byte, n)
+// pickSplit reads and decodes p's entries and runs the extension's
+// PickSplit over them, returning the bodies, their predicates and which
+// stay on p.
+func (t *Tree) pickSplit(p *page.Page) (bodies, preds [][]byte, stay []bool, err error) {
+	n := p.NumSlots()
+	bodies, preds = make([][]byte, n), make([][]byte, n)
 	for i := 0; i < n; i++ {
-		b, err := f.Page.SlotBytes(i)
+		b, err := p.SlotBytes(i)
 		if err != nil {
-			releaseNew()
-			releaseParent()
-			return nil, fmt.Errorf("gist: split read slot %d of %d: %w", i, f.ID(), err)
+			return nil, nil, nil, fmt.Errorf("gist: split read slot %d of %d: %w", i, p.ID(), err)
 		}
 		bodies[i] = append([]byte(nil), b...)
-		e, err := page.DecodeEntry(bodies[i], leaf)
+		e, err := page.DecodeEntry(bodies[i], p.IsLeaf())
 		if err != nil {
-			releaseNew()
-			releaseParent()
-			return nil, err
+			return nil, nil, nil, err
 		}
 		preds[i] = e.Pred
 	}
-	stayIdx := t.ops.PickSplit(preds)
-	stay := make(map[int]bool, len(stayIdx))
-	for _, i := range stayIdx {
-		stay[i] = true
-	}
-	if len(stay) == 0 || len(stay) >= n {
-		releaseNew()
-		releaseParent()
-		return nil, fmt.Errorf("gist: PickSplit returned %d of %d entries", len(stay), n)
-	}
-	var moved [][]byte
-	for i := 0; i < n; i++ {
-		if !stay[i] {
-			moved = append(moved, bodies[i])
+	stay = make([]bool, n)
+	stays := 0
+	for _, i := range t.ops.PickSplit(preds) {
+		if i >= 0 && i < n && !stay[i] {
+			stay[i] = true
+			stays++
 		}
 	}
-
-	// One Split log record covers both pages (Table 1); its LSN is the
-	// original node's new NSN — the global counter increments implicitly
-	// (§10.1).
-	rec := &wal.Record{
-		Type:     wal.RecSplit,
-		Pg:       f.ID(),
-		Pg2:      newF.ID(),
-		Level:    f.Page.Level(),
-		OldNSN:   f.Page.NSN(),
-		OldRight: f.Page.Rightlink(),
-		Moved:    moved,
+	if stays == 0 || stays >= n {
+		return nil, nil, nil, fmt.Errorf("gist: PickSplit returned %d of %d entries", stays, n)
 	}
-	// Both pages are marked dirty here, not at unpin time: callers unpin
-	// the side they did not insert into with dirty=false, and a
-	// clean-before-split original would otherwise lose the split to
-	// eviction.
-	if err := o.logApply(rec, f, newF); err != nil {
-		releaseNew()
-		releaseParent()
-		return nil, fmt.Errorf("gist: split %d: %w", f.ID(), err)
-	}
-
-	// Replicate predicate attachments consistent with the new node's BP
-	// (§4.3 case 1).
-	newBP, origBP := t.computedBP(&newF.Page), t.computedBP(&f.Page)
-	if extra != nil {
-		if f.Page.FindChild(child) >= 0 {
-			origBP = t.ops.Union(origBP, extra)
-		} else {
-			newBP = t.ops.Union(newBP, extra)
-		}
-	}
-	t.preds.ReplicateOnSplit(f.ID(), newF.ID(), func(p *predicate.Predicate) bool {
-		if newBP == nil {
-			return true
-		}
-		if p.Kind == predicate.Search {
-			return t.ops.Consistent(newBP, p.Data)
-		}
-		return true // insert predicates: keep conservatively
-	})
-
-	// Phase 3: install the downlink (or grow the tree).
-	if isRoot {
-		if err := o.growRoot(f, newF, origBP, newBP); err != nil {
-			releaseNew()
-			releaseParent()
-			return nil, err
-		}
-		o.smoHeld = append(o.smoHeld, releaseParent) // the anchor latch
-		return newF, nil
-	}
-
-	newEntry := page.Entry{Pred: newBP, Child: newF.ID()}
-	if t.needsSplit(&parentF.Page, newEntry.EncodedLen(false)) {
-		// Recursive parent split (the grandparent is latched inside,
-		// before the parent's own counter increment). The parent
-		// keeps our child's entry or hands it to the new sibling.
-		var upStack []pathEntry
-		if len(stack) > 0 {
-			upStack = stack[:len(stack)-1]
-		}
-		parentSib, err := o.splitNode(parentF, upStack, f.ID(), t.ops.Union(origBP, newBP))
-		if err != nil {
-			releaseNew()
-			releaseParent()
-			return nil, err
-		}
-		t.Stats.Splits.Add(1)
-		target := parentF
-		if parentF.Page.FindChild(f.ID()) < 0 {
-			target = parentSib
-		}
-		if target.Page.FindChild(f.ID()) < 0 {
-			o.unlatchPage(parentSib, latch.X)
-			t.pool.Unpin(parentSib, false, 0)
-			releaseNew()
-			releaseParent()
-			return nil, fmt.Errorf("gist: child %d lost during parent split", f.ID())
-		}
-		err = o.writeParentUpdates(target, f.ID(), oldPred, origBP, newEntry)
-		releaseSib := func() {
-			o.unlatchPage(parentSib, latch.X)
-			t.pool.Unpin(parentSib, false, 0)
-		}
-		if err != nil {
-			releaseSib()
-			releaseNew()
-			releaseParent()
-			return nil, err
-		}
-		o.smoHeld = append(o.smoHeld, releaseParent, releaseSib)
-		return newF, nil
-	}
-	if err := o.writeParentUpdates(parentF, f.ID(), oldPred, origBP, newEntry); err != nil {
-		releaseNew()
-		releaseParent()
-		return nil, err
-	}
-	o.smoHeld = append(o.smoHeld, releaseParent)
-	return newF, nil
+	return bodies, preds, stay, nil
 }
 
-// growRoot installs a new root above the just-split pair, with entries
-// fBP and newBP, while the anchor is exclusively latched (root moves;
-// stale traversals compensate via the old root's rightlink). Each page's
-// recLSN is its first record, the Get-Page: a checkpoint between it and the
-// Root-Change must not let restart redo start past the root's formatting.
-func (o *op) growRoot(f, newF *buffer.Frame, fBP, newBP []byte) error {
+// latchParent X-latches the node holding f's parent entry and returns it
+// with the entry's slot, or latches the anchor and returns nil when f is
+// the root. The latch is held until the SMO ends.
+func (o *op) latchParent(f *buffer.Frame, stack []pathEntry) (*buffer.Frame, int, error) {
 	t := o.t
-	rootF, err := t.pool.NewPage(f.Page.Level() + 1)
+	if len(stack) > 0 {
+		parentF, slot, ownPin, err := o.ascendToParent(stack, f.ID(), f.Page.Level())
+		if parentF != nil {
+			o.hold(parentF, ownPin)
+		}
+		if err != nil || parentF != nil {
+			return parentF, slot, err
+		}
+	}
+	// f was a traversal root (or the stack went stale). Either it still
+	// is the root — serialize via the anchor latch, held through the whole
+	// root split — or the tree has grown above it and the true parent is
+	// found by full search. The anchor holder never waits on tree-node
+	// latches (it only touches f, the sibling and freshly allocated
+	// private pages), so the anchor-before-node acquisition cannot
+	// deadlock.
+	o.latchPage(t.anchorF, latch.X)
+	root, err := anchorRootOf(&t.anchorF.Page)
+	if err == nil && root == f.ID() {
+		o.hold(t.anchorF, false)
+		return nil, 0, nil
+	}
+	o.unlatchPage(t.anchorF, latch.X)
 	if err != nil {
+		return nil, 0, err
+	}
+	parentF, slot, ownPin, err := o.findParentSlow(f.ID(), f.Page.Level())
+	if parentF != nil {
+		o.hold(parentF, ownPin)
+	} else if err == nil {
+		err = fmt.Errorf("gist: parent of split node %d not found", f.ID())
+	}
+	return parentF, slot, err
+}
+
+// applySplit is the apply pass of a planned split. It logs and applies,
+// bottom-up, each level's Get-Page for the sibling (its first record pins
+// the recLSN, so a checkpoint's redo point never starts past the page's
+// allocation) and its Split; then the new root, or the top level's parent
+// entries; then each lower level's parent entries top-down, in whichever
+// half of the split parent holds them.
+func (o *op) applySplit(levels []splitLevel) error {
+	t := o.t
+	for _, lv := range levels {
+		f, sib := lv.node, lv.sib
+		if err := o.logApply(&wal.Record{Type: wal.RecGetPage, Pg: sib.ID(), Level: f.Page.Level()}, sib); err != nil {
+			return err
+		}
+		// One Split log record covers both pages (Table 1); its LSN is
+		// the original node's new NSN — the global counter increments
+		// implicitly (§10.1).
+		if err := o.logApply(&wal.Record{
+			Type:     wal.RecSplit,
+			Pg:       f.ID(),
+			Pg2:      sib.ID(),
+			Level:    f.Page.Level(),
+			OldNSN:   f.Page.NSN(),
+			OldRight: f.Page.Rightlink(),
+			Moved:    lv.moved,
+		}, f, sib); err != nil {
+			return fmt.Errorf("gist: split %d: %w", f.ID(), err)
+		}
+		// Replicate predicate attachments consistent with the sibling's
+		// BP (§4.3 case 1); insert predicates are kept conservatively.
+		t.preds.ReplicateOnSplit(f.ID(), sib.ID(), func(p *predicate.Predicate) bool {
+			return p.Kind != predicate.Search || t.ops.Consistent(lv.sibBP, p.Data)
+		})
+		t.Stats.Splits.Add(1)
+	}
+	for i := len(levels) - 1; i >= 0; i-- {
+		var err error
+		switch lv := levels[i]; {
+		case lv.root != nil:
+			err = o.growRoot(lv)
+		case i+1 < len(levels) && levels[i+1].childMoves:
+			err = o.writeParentUpdates(levels[i+1].sib, lv)
+		default:
+			err = o.writeParentUpdates(lv.parent, lv)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// growRoot installs the reserved new root above a root split's pair while
+// the anchor is exclusively latched (root moves; stale traversals
+// compensate via the old root's rightlink). The root's recLSN is its first
+// record, the Get-Page: a checkpoint between it and the Root-Change must not
+// let restart redo start past the root's formatting.
+func (o *op) growRoot(lv splitLevel) error {
+	t := o.t
+	rootF := lv.root
+	for _, rec := range []*wal.Record{
+		{Type: wal.RecGetPage, Pg: rootF.ID(), Level: rootF.Page.Level()},
+		{Type: wal.RecInternalEntryAdd, Pg: rootF.ID(), Body: (&page.Entry{Pred: lv.bp, Child: lv.node.ID()}).Encode(false)},
+		{Type: wal.RecInternalEntryAdd, Pg: rootF.ID(), Body: (&page.Entry{Pred: lv.sibBP, Child: lv.sib.ID()}).Encode(false)},
+	} {
+		if err := o.logApply(rec, rootF); err != nil {
+			return err
+		}
+	}
+	if err := o.logApply(&wal.Record{Type: wal.RecRootChange, Pg: t.anchor, Pg2: rootF.ID(), OldRight: lv.node.ID()}, t.anchorF); err != nil {
 		return err
 	}
-	o.latchPage(rootF, latch.X)
-	recs := []*wal.Record{
-		{Type: wal.RecGetPage, Pg: rootF.ID(), Level: f.Page.Level() + 1},
-		{Type: wal.RecInternalEntryAdd, Pg: rootF.ID(), Body: (&page.Entry{Pred: fBP, Child: f.ID()}).Encode(false)},
-		{Type: wal.RecInternalEntryAdd, Pg: rootF.ID(), Body: (&page.Entry{Pred: newBP, Child: newF.ID()}).Encode(false)},
-	}
-	for _, rec := range recs {
-		if err = o.logApply(rec, rootF); err != nil {
-			break
-		}
-	}
-	if err == nil {
-		err = o.logApply(&wal.Record{Type: wal.RecRootChange, Pg: t.anchor, Pg2: rootF.ID(), OldRight: f.ID()}, t.anchorF)
-	}
-	o.unlatchPage(rootF, latch.X)
-	t.pool.Unpin(rootF, false, 0)
-	if err == nil {
-		t.Stats.RootSplits.Add(1)
-	}
-	return err
+	t.Stats.RootSplits.Add(1)
+	return nil
 }
 
-// writeParentUpdates logs and applies the two parent changes of a split:
-// Internal-Entry-Update for the original child and Internal-Entry-Add for
-// the new sibling. Each marks the parent dirty at its own LSN, so a clean
-// parent's recLSN is the first of them.
-func (o *op) writeParentUpdates(parentF *buffer.Frame, child page.PageID, oldPred, newPred []byte, add page.Entry) error {
-	if !bytes.Equal(oldPred, newPred) {
+// writeParentUpdates logs and applies the two parent changes of a planned
+// split level on parentF: Internal-Entry-Update for the node's entry (when
+// its predicate changes) and Internal-Entry-Add for the sibling. Each marks
+// the parent dirty at its own LSN, so a clean parent's recLSN is the first
+// of them.
+func (o *op) writeParentUpdates(parentF *buffer.Frame, lv splitLevel) error {
+	if !bytes.Equal(lv.oldPred, lv.bp) {
 		if err := o.logApply(&wal.Record{
 			Type:    wal.RecInternalEntryUpdate,
 			Pg:      parentF.ID(),
-			Pg2:     child,
-			Body:    newPred,
-			OldBody: oldPred,
+			Pg2:     lv.node.ID(),
+			Body:    lv.bp,
+			OldBody: lv.oldPred,
 		}, parentF); err != nil {
 			return fmt.Errorf("gist: tighten parent entry: %w", err)
 		}
 	}
+	add := page.Entry{Pred: lv.sibBP, Child: lv.sib.ID()}
 	if err := o.logApply(&wal.Record{Type: wal.RecInternalEntryAdd, Pg: parentF.ID(), Body: add.Encode(false)}, parentF); err != nil {
 		return fmt.Errorf("gist: add parent entry: %w", err)
 	}
@@ -778,18 +755,11 @@ func (o *op) propagateBP(childF *buffer.Frame, pred []byte, stack []pathEntry) e
 	if parentF == nil {
 		return nil // child is the root: no parent entry to expand
 	}
-	release := func() {
-		o.unlatchPage(parentF, latch.X)
-		if ownPin {
-			t.pool.Unpin(parentF, false, 0)
-		}
-	}
-
 	oldPred, _ := parentF.Page.PredAt(slot)
 	merged := t.ops.Union(oldPred, pred)
 	if bytes.Equal(merged, oldPred) {
 		// Ancestor already covers the key: expansion stops (§2).
-		release()
+		o.releaseParent(parentF, ownPin)
 		return nil
 	}
 
@@ -799,19 +769,14 @@ func (o *op) propagateBP(childF *buffer.Frame, pred []byte, stack []pathEntry) e
 		upStack = stack[:len(stack)-1]
 	}
 	if err := o.propagateBP(parentF, merged, upStack); err != nil {
-		release()
+		o.releaseParent(parentF, ownPin)
 		return err
 	}
 
-	// This level's update is one atomic action.
-	if err := o.tx.BeginNTA(); err != nil {
-		release()
-		return err
-	}
-	err = o.logApply(&wal.Record{Type: wal.RecParentEntryUpdate, Pg: parentF.ID(), Pg2: childF.ID(), Body: merged}, parentF)
-	o.tx.EndNTA()
-	if err != nil {
-		release()
+	// This level's update is one redo-only record: an atomic action that
+	// needs no nested top action, since its undo does nothing.
+	if err := o.logApply(&wal.Record{Type: wal.RecParentEntryUpdate, Pg: parentF.ID(), Pg2: childF.ID(), Body: merged}, parentF); err != nil {
+		o.releaseParent(parentF, ownPin)
 		return fmt.Errorf("gist: BP update on %d: %w", parentF.ID(), err)
 	}
 	t.Stats.BPUpdates.Add(1)
@@ -822,6 +787,15 @@ func (o *op) propagateBP(childF *buffer.Frame, pred []byte, stack []pathEntry) e
 	t.preds.Percolate(parentF.ID(), childF.ID(), func(p *predicate.Predicate) bool {
 		return p.Kind == predicate.Search && t.ops.Consistent(merged, p.Data)
 	})
-	release()
+	o.releaseParent(parentF, ownPin)
 	return nil
+}
+
+// releaseParent unlatches a parent that ascendToParent X-latched,
+// unpinning it if the ascent pinned it.
+func (o *op) releaseParent(f *buffer.Frame, ownPin bool) {
+	o.unlatchPage(f, latch.X)
+	if ownPin {
+		o.t.pool.Unpin(f, false, 0)
+	}
 }

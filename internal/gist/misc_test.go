@@ -179,7 +179,9 @@ func TestRuntimeSMOFailureRollsBack(t *testing.T) {
 		e.put(int64(i * 10))
 	}
 	// This insert needs a split; PickSplit fails once, the SMO aborts
-	// mid-flight, and the transaction must roll back cleanly.
+	// mid-flight, and the transaction must roll back cleanly, leaking no
+	// page.
+	allocated := e.disk.NumAllocated()
 	tx := e.begin()
 	rid, _ := e.heap.Insert(tx, []byte("x"))
 	err := e.tree.Insert(tx, btree.EncodeKey(5), rid)
@@ -188,6 +190,9 @@ func TestRuntimeSMOFailureRollsBack(t *testing.T) {
 	}
 	if err := tx.Abort(); err != nil {
 		t.Fatalf("abort after failed SMO: %v", err)
+	}
+	if n := e.disk.NumAllocated(); n != allocated {
+		t.Errorf("%d pages allocated after the abort, %d before the insert", n, allocated)
 	}
 
 	// The tree is intact and fully operational; the next split works.

@@ -71,10 +71,16 @@ func Redo(r *wal.Record, p *page.Page, pg page.PageID) error {
 
 	case wal.RecFreePage:
 		if clr {
-			// Compensated deallocation: rebuild the empty node.
-			p.Init(r.Pg, r.Level)
-			p.SetNSN(r.OldNSN)
-			p.SetRightlink(r.OldRight)
+			// Compensated deallocation: the node is live again, with
+			// the entries it had. An image lost with the page's storage
+			// (a replica gives a page back at its Free-Page) is rebuilt
+			// as the empty node.
+			if p.ID() != r.Pg {
+				p.Init(r.Pg, r.Level)
+				p.SetNSN(r.OldNSN)
+				p.SetRightlink(r.OldRight)
+			}
+			p.SetFlags(p.Flags() &^ page.FlagDeallocated)
 		} else {
 			p.SetFlags(p.Flags() | page.FlagDeallocated)
 		}

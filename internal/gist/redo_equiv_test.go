@@ -75,7 +75,15 @@ func TestRestartRebuildsForwardPages(t *testing.T) {
 	if e.tree.Stats.RootSplits.Load() < 2 {
 		t.Fatal("fewer than two root splits; the history misses recursive splits")
 	}
+	e.checkRestartRebuildsPages()
+}
 
+// checkRestartRebuildsPages restarts the quiesced env's whole log onto a
+// blank disk and fails unless every page the forward run left allocated
+// comes back byte for byte.
+func (e *env) checkRestartRebuildsPages() {
+	t := e.t
+	t.Helper()
 	// Quiesced: drain the unlinked pages so both sides agree on which
 	// pages are allocated, then make everything durable.
 	e.tree.DrainQuarantine()

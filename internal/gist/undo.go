@@ -95,8 +95,8 @@ func (t *Tree) undoLeafEntry(r *wal.Record, tx *txn.Txn) error {
 // restores the original's NSN and rightlink; the sibling needs no content
 // action (its Get-Page record's undo frees it). A page whose allocation is
 // undone is quarantined behind the drain, exactly as for node deletion; a
-// page whose deallocation is undone is allocated again first and rebuilt
-// as the empty node the Free-Page record describes.
+// page whose deallocation is undone is allocated again first (a no-op
+// unless its storage was given back) and is live again with its entries.
 func (t *Tree) undoPage(r *wal.Record, tx *txn.Txn) error {
 	clr := &wal.Record{Type: r.Type, Pg: r.Pg, Pg2: r.Pg2, Level: r.Level, Body: r.Body,
 		OldNSN: r.OldNSN, OldRight: r.OldRight, Moved: r.Moved}

@@ -7,9 +7,13 @@ import (
 	"testing"
 
 	"repro/internal/buffer"
+	"repro/internal/gist"
+	"repro/internal/lock"
 	"repro/internal/page"
+	"repro/internal/predicate"
 	"repro/internal/recovery"
 	"repro/internal/storage"
+	"repro/internal/txn"
 	"repro/internal/wal"
 )
 
@@ -42,9 +46,11 @@ func (d *readFaultDisk) ReadPage(id page.PageID, buf []byte) error {
 //
 // The log is arranged so the Free-Page redo performs a real disk read: the
 // target page is allocated (read #1 at its Get-Page redo), evicted from a
-// tiny pool by filler allocations, freed (read #2 — the injected fault),
-// and reallocated by a later transaction, which keeps the allocation-replay
-// end state allocated so the Free-Page redo genuinely fetches.
+// tiny pool by filler allocations, and freed (read #2 — the injected fault)
+// by a transaction that never commits. Restart keeps a page a loser freed
+// allocated until undo has run, so the Free-Page redo genuinely fetches.
+// (A later reallocation no longer does: redo skips the records of a page's
+// earlier incarnation.)
 func TestRedoFreePageFetchErrorFailsRestart(t *testing.T) {
 	buildLog := func() *wal.Log {
 		l := wal.NewMemLog()
@@ -62,12 +68,9 @@ func TestRedoFreePageFetchErrorFailsRestart(t *testing.T) {
 			l.Append(&wal.Record{Type: wal.RecGetPage, Txn: 2, Pg: target + 1 + page.PageID(i)})
 		}
 		commit(2)
-		// T3 frees the target: redo of this record is the fetch under test.
+		// T3 frees the target and never commits: redo of this record is
+		// the fetch under test.
 		l.Append(&wal.Record{Type: wal.RecFreePage, Txn: 3, Pg: target})
-		commit(3)
-		// T4 reallocates it.
-		l.Append(&wal.Record{Type: wal.RecGetPage, Txn: 4, Pg: target})
-		commit(4)
 		if err := l.FlushAll(); err != nil {
 			t.Fatal(err)
 		}
@@ -97,8 +100,12 @@ func TestRedoFreePageFetchErrorFailsRestart(t *testing.T) {
 	l2 := buildLog()
 	mem := storage.NewMemDisk()
 	pool2 := buffer.New(mem, 8, l2)
-	rec2 := &recovery.Recovery{Log: l2, Pool: pool2, Disk: mem, Workers: 1}
-	if _, err := rec2.Run(nil); err != nil {
+	tm := txn.NewManager(l2, lock.NewManager(), predicate.NewManager())
+	rec2 := &recovery.Recovery{Log: l2, Pool: pool2, Disk: mem, TM: tm, Workers: 1}
+	if _, err := rec2.Run(func() error {
+		gist.RegisterRecoveryHandlers(tm, pool2) // T3's free is undone
+		return nil
+	}); err != nil {
 		t.Fatalf("control restart without fault failed: %v", err)
 	}
 }

@@ -180,14 +180,10 @@ func buildSequential(t *testing.T, seed int64) *world {
 // images, identical stats, identical post-recovery logs, and both satisfy
 // the survivor-log oracle.
 func TestParallelSerialEquivalence(t *testing.T) {
+	spans := []int{216, 352, 285, 346, 275, 704} // crashCuts' draw bound per seed
 	for seed := int64(0); seed < 6; seed++ {
 		w := buildSequential(t, seed)
-		total := int(w.log.LastLSN())
-		rng := rand.New(rand.NewSource(seed * 7777))
-		cuts := map[page.LSN]bool{page.LSN(total): true}
-		for len(cuts) < 6 {
-			cuts[page.LSN(1+rng.Intn(total))] = true
-		}
+		cuts := crashCuts(w.log, rand.New(rand.NewSource(seed*7777)), spans[seed], 6)
 		for cut := range cuts {
 			cut := cut
 			t.Run(fmt.Sprintf("seed%d/lsn%d", seed, cut), func(t *testing.T) {

@@ -59,6 +59,24 @@ type Recovery struct {
 	// least recently first (see HeapPages).
 	heapPages []page.PageID
 
+	// A restart gives a freed page's storage back only where the log
+	// leaves it free: freeAt maps each page a committed or completed
+	// transaction freed last to that Free-Page's LSN, the one record whose
+	// redo gives the page back (nil outside restart: an Applier gives back
+	// at every Free-Page). keepFreed holds the pages a loser freed last:
+	// undo may compensate that record, and its CLR keeps the node's
+	// entries, so the page keeps its storage and image until undo has run
+	// (freeUndone).
+	freeAt    map[page.PageID]page.LSN
+	keepFreed map[page.PageID]bool
+
+	// incarnation maps each page to the LSN of the last Get-Page that
+	// formatted it in the retained log (restart only). Redo skips a
+	// record on the page below it: that record changed an earlier
+	// incarnation, which the Get-Page wipes, and whose image may be gone
+	// already — allocating the page again zeroes it on disk.
+	incarnation map[page.PageID]page.LSN
+
 	metricsOnce sync.Once
 	reg         *stats.Registry
 	workersUsed atomic.Int64
@@ -189,6 +207,9 @@ func (r *Recovery) Run(register func() error) (*Stats, error) {
 
 	t0 = time.Now()
 	err = r.undo(a, st)
+	if err == nil {
+		err = r.freeUndone()
+	}
 	r.undoNanos.Add(time.Since(t0).Nanoseconds())
 	r.undone.Add(int64(st.Undone))
 	if err != nil {
@@ -269,21 +290,24 @@ func (r *Recovery) scan() (*Analysis, int, *redoPlan, error) {
 	}
 	n := 0
 	var aerr error
+	// freed maps each page whose last allocation record is a Free-Page to
+	// that record; whether it is given back waits for the losers.
+	freed := make(map[page.PageID]*wal.Record)
+	r.incarnation = make(map[page.PageID]page.LSN)
 	r.Log.SnapshotScan(r.Log.Base()+1, func(rec *wal.Record) bool {
 		// Allocation-state replay, over the whole retained log.
-		switch rec.Type.Base() {
-		case wal.RecGetPage:
-			if rec.Type.IsCLR() {
-				aerr = r.Disk.EnsureDeallocated(rec.Pg)
-			} else {
-				aerr = r.Disk.EnsureAllocated(rec.Pg)
+		switch base, clr := rec.Type.Base(), rec.Type.IsCLR(); {
+		case base == wal.RecFreePage && !clr:
+			freed[rec.Pg] = rec
+		case base == wal.RecGetPage && clr:
+			delete(freed, rec.Pg)
+			aerr = r.Disk.EnsureDeallocated(rec.Pg)
+		case base == wal.RecGetPage, base == wal.RecFreePage:
+			if base == wal.RecGetPage {
+				r.incarnation[rec.Pg] = rec.LSN
 			}
-		case wal.RecFreePage:
-			if rec.Type.IsCLR() {
-				aerr = r.Disk.EnsureAllocated(rec.Pg)
-			} else {
-				aerr = r.Disk.EnsureDeallocated(rec.Pg)
-			}
+			delete(freed, rec.Pg)
+			aerr = r.Disk.EnsureAllocated(rec.Pg)
 		}
 		if aerr != nil {
 			return false
@@ -335,6 +359,9 @@ func (r *Recovery) scan() (*Analysis, int, *redoPlan, error) {
 	if aerr != nil {
 		return nil, n, nil, fmt.Errorf("allocation replay: %w", aerr)
 	}
+	if aerr = r.replayFrees(freed, a.Losers); aerr != nil {
+		return nil, n, nil, fmt.Errorf("allocation replay: %w", aerr)
+	}
 	a.RedoLSN = page.LSN(1)
 	if len(a.DPT) > 0 {
 		min := page.MaxLSN
@@ -357,6 +384,53 @@ func (r *Recovery) scan() (*Analysis, int, *redoPlan, error) {
 		a.RedoLSN = base + 1
 	}
 	return a, n, plan, nil
+}
+
+// replayFrees gives back, in log order, each page a Free-Page freed last,
+// unless a loser freed it: those stay in keepFreed until undo has run.
+func (r *Recovery) replayFrees(freed map[page.PageID]*wal.Record, losers map[page.TxnID]page.LSN) error {
+	recs := make([]*wal.Record, 0, len(freed))
+	for _, rec := range freed {
+		recs = append(recs, rec)
+	}
+	sort.Slice(recs, func(i, j int) bool { return recs[i].LSN < recs[j].LSN })
+	r.freeAt = make(map[page.PageID]page.LSN, len(recs))
+	r.keepFreed = make(map[page.PageID]bool)
+	for _, rec := range recs {
+		if _, loser := losers[rec.Txn]; loser {
+			r.keepFreed[rec.Pg] = true
+			continue
+		}
+		r.freeAt[rec.Pg] = rec.LSN
+		if err := r.Disk.EnsureDeallocated(rec.Pg); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// freeUndone gives back each page in keepFreed whose Free-Page undo left
+// standing (a completed nested top action protects it), in page order.
+func (r *Recovery) freeUndone() error {
+	pgs := make([]page.PageID, 0, len(r.keepFreed))
+	for pg := range r.keepFreed {
+		pgs = append(pgs, pg)
+	}
+	sort.Slice(pgs, func(i, j int) bool { return pgs[i] < pgs[j] })
+	for _, pg := range pgs {
+		f, err := r.Pool.Fetch(pg)
+		if err != nil {
+			return err
+		}
+		freed := f.Page.Flags()&page.FlagDeallocated != 0
+		r.Pool.Unpin(f, false, 0)
+		if freed {
+			if err := r.deallocate(pg); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // HeapPages returns the pages heap inserts wrote in the retained log, as
@@ -535,6 +609,10 @@ func (r *Recovery) redoRecord(rec *wal.Record, st *Stats) error {
 // marks it available) run only from the record's primary page so they
 // happen exactly once.
 func (r *Recovery) redoOnPage(rec *wal.Record, pg page.PageID, st *Stats) error {
+	if rec.LSN < r.incarnation[pg] {
+		st.RedoSkipped++
+		return nil
+	}
 	base := rec.Type.Base()
 	clr := rec.Type.IsCLR()
 	if pg == rec.Pg {
@@ -545,9 +623,10 @@ func (r *Recovery) redoOnPage(rec *wal.Record, pg page.PageID, st *Stats) error 
 		}
 		if base == wal.RecFreePage && !clr {
 			// Apply the content flag (gist.Redo) if the page still
-			// exists, then free. Count the record as redone only if it
-			// changed something: the flag was stamped, or the allocation
-			// state transitioned.
+			// exists, then free it where the log leaves it free (see
+			// freeAt). Count the record as redone only if it changed
+			// something: the flag was stamped, or the allocation state
+			// transitioned.
 			applied := false
 			f, err := r.Pool.Fetch(rec.Pg)
 			switch {
@@ -564,11 +643,13 @@ func (r *Recovery) redoOnPage(rec *wal.Record, pg page.PageID, st *Stats) error 
 				// than free a page whose image was never stamped.
 				return fmt.Errorf("free-page fetch: %w", err)
 			}
-			switch err := r.deallocate(rec.Pg); {
-			case err == nil:
-				applied = true
-			case !errors.Is(err, storage.ErrNoSuchPage):
-				return err
+			if r.freeAt == nil || r.freeAt[rec.Pg] == rec.LSN {
+				switch err := r.deallocate(rec.Pg); {
+				case err == nil:
+					applied = true
+				case !errors.Is(err, storage.ErrNoSuchPage):
+					return err
+				}
 			}
 			if applied {
 				st.Redone++

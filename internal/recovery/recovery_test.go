@@ -316,6 +316,96 @@ func TestRecoverInterruptedSplitSMO(t *testing.T) {
 	}
 }
 
+// TestRecoverInterruptedDestroy: a crash right after Destroy (what an index
+// drop runs) logged any of its Free-Pages, the root's first, leaves the
+// drop uncommitted. Restart undoes the frees, and the tree comes back
+// whole: a compensated page keeps its entries.
+func TestRecoverInterruptedDestroy(t *testing.T) {
+	w := newWorld(t, gist.Config{MaxEntries: 4})
+	for i := 0; i < 40; i++ {
+		w.put(int64(i))
+	}
+	tx, _ := w.tm.Begin()
+	if err := w.tree.Destroy(tx); err != nil {
+		t.Fatal(err)
+	}
+	var frees []page.LSN
+	w.log.Scan(1, func(r *wal.Record) bool {
+		if r.Type == wal.RecFreePage {
+			frees = append(frees, r.LSN)
+		}
+		return true
+	})
+	if len(frees) < 3 {
+		t.Fatalf("setup: Destroy logged %d Free-Pages", len(frees))
+	}
+
+	for i, cut := range frees {
+		nw, stats := w.crashAndRecover(cut)
+		if stats.Losers != 1 {
+			t.Fatalf("cut after Free-Page %d: losers = %d, want 1", i, stats.Losers)
+		}
+		if got := nw.keys(0, 100); len(got) != 40 {
+			t.Fatalf("cut after Free-Page %d: %d of 40 keys after restart", i, len(got))
+		}
+		if rep := nw.checkTree(); rep.Entries != 40 {
+			t.Errorf("cut after Free-Page %d: entries = %d, want 40", i, rep.Entries)
+		}
+		nw.put(999)
+		if got := nw.keys(999, 999); len(got) != 1 {
+			t.Errorf("cut after Free-Page %d: insert after recovery failed", i)
+		}
+	}
+}
+
+// TestRecoverReusedPage: a leaf changed after a checkpoint, then unlinked
+// by node deletion, drained and allocated again by a split, is zeroed on
+// disk by that allocation. Restart redo must not replay the old
+// incarnation's records onto the zeroed image: the new Get-Page wipes them
+// anyway. Replaying them failed the restart with "page: not enough free
+// space".
+func TestRecoverReusedPage(t *testing.T) {
+	w := newWorld(t, gist.Config{MaxEntries: 4})
+	rids := map[int64]page.RID{}
+	for k := int64(0); k < 16; k++ {
+		rids[k] = w.put(k)
+	}
+	if _, err := recovery.Checkpoint(w.tm, w.pool, w.disk); err != nil {
+		t.Fatal(err)
+	}
+	rids[-1] = w.put(-1) // an Add-Leaf-Entry on the leftmost leaf, past the redo point
+	tx, _ := w.tm.Begin()
+	for k := int64(-1); k < 8; k++ {
+		if err := w.tree.Delete(tx, btree.EncodeKey(k), rids[k]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	gc, _ := w.tm.Begin()
+	if err := w.tree.GCAll(gc); err != nil {
+		t.Fatal(err)
+	}
+	if err := gc.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if w.tree.Stats.NodeDeletes.Load() == 0 {
+		t.Fatal("setup: GC deleted no node")
+	}
+	w.tree.DrainQuarantine() // the freed leaves go back to the disk
+	for k := int64(100); k < 140; k++ {
+		w.put(k) // splits allocate the freed pages again
+	}
+	w.log.FlushAll()
+
+	nw, _ := w.crashAndRecover(0)
+	if got := nw.keys(-10, 200); len(got) != 48 {
+		t.Errorf("%d keys after restart, want 48", len(got))
+	}
+	nw.checkTree()
+}
+
 func TestRecoverWithEvictionsAndPartialFlush(t *testing.T) {
 	// A tiny pool forces constant evictions, so the disk holds a mix of
 	// old and new page versions at the crash; redo must reconcile them.
@@ -601,12 +691,7 @@ func TestFuzzedCrashPoints(t *testing.T) {
 	}
 
 	ref := build()
-	total := int(ref.log.LastLSN())
-	rng := rand.New(rand.NewSource(99))
-	cuts := map[page.LSN]bool{page.LSN(total): true} // always test the full log
-	for len(cuts) < 40 {
-		cuts[page.LSN(1+rng.Intn(total))] = true
-	}
+	cuts := crashCuts(ref.log, rand.New(rand.NewSource(99)), 440, 40)
 	for cut := range cuts {
 		cut := cut
 		t.Run(fmt.Sprintf("lsn%d", cut), func(t *testing.T) {
@@ -861,4 +946,38 @@ func (w *world) gcAll() {
 	if err := tx.Commit(); err != nil {
 		w.t.Fatal(err)
 	}
+}
+
+// crashCuts draws the crash points of a sweep over log: cuts that leave n
+// distinct log prefixes, the whole log among them. Cuts are drawn from
+// 1..span, a bound fixed per sweep rather than read from the log, so the
+// cases (named by their cut) stay put when the history logs more or fewer
+// records; span itself is always a cut. A cut past the log's end keeps the
+// whole log (TruncatedCopy), so the draw goes on until n prefixes are
+// covered. No cut falls before the bootstrap transaction's Commit.
+func crashCuts(log *wal.Log, rng *rand.Rand, span, n int) map[page.LSN]bool {
+	total := log.LastLSN()
+	cuts := map[page.LSN]bool{page.LSN(span): true, total: true}
+	prefixes := map[page.LSN]bool{total: true}
+	for boot := bootstrapCommit(log); len(prefixes) < n; {
+		if cut := page.LSN(1 + rng.Intn(span)); cut >= boot {
+			cuts[cut] = true
+			prefixes[min(cut, total)] = true
+		}
+	}
+	return cuts
+}
+
+// bootstrapCommit returns the LSN of the log's first Commit, that of the
+// transaction gist.Create formats the tree in. A crash before it leaves no
+// tree to open (the bootstrap is a loser and undone).
+func bootstrapCommit(l *wal.Log) page.LSN {
+	var lsn page.LSN
+	l.Scan(1, func(r *wal.Record) bool {
+		if r.Type == wal.RecCommit {
+			lsn = r.LSN
+		}
+		return lsn == 0
+	})
+	return lsn
 }

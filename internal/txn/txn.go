@@ -468,9 +468,10 @@ func (tx *Txn) BeginNTA() error {
 	return nil
 }
 
-// EndNTA closes the open nested top action by writing the dummy CLR whose
-// UndoNext jumps over the action's records (§9.1): once written, rollback
-// and restart undo both skip the structure modification.
+// EndNTA closes the open nested top action, which completed, by writing
+// the dummy CLR whose UndoNext jumps over the action's records (§9.1): once
+// written, rollback and restart undo both skip the structure modification.
+// An action that failed is closed with AbandonNTA instead.
 func (tx *Txn) EndNTA() page.LSN {
 	tx.mu.Lock()
 	start := tx.ntaStart
@@ -483,17 +484,18 @@ func (tx *Txn) EndNTA() page.LSN {
 
 // InNTA reports whether a nested top action is currently open.
 // Cancellation-aware layers use it to suppress cancellation inside an NTA:
-// a structure modification, once begun, must run to completion — failing it
-// mid-way and then writing the dummy CLR would make undo skip a half-done
-// modification.
+// a structure modification, once begun, runs to completion rather than
+// being unwound for a deadline while it holds the latches other operations
+// wait on.
 func (tx *Txn) InNTA() bool {
 	tx.mu.Lock()
 	defer tx.mu.Unlock()
 	return tx.ntaOpen
 }
 
-// AbandonNTA closes the NTA bookkeeping without writing the dummy CLR,
-// used when the action failed before writing any records.
+// AbandonNTA closes the open nested top action without writing the dummy
+// CLR, for an action that failed: any record it did write stays in the
+// transaction's backchain, so rollback and restart undo it like any other.
 func (tx *Txn) AbandonNTA() {
 	tx.mu.Lock()
 	tx.ntaOpen = false
