@@ -61,6 +61,10 @@ type (
 	// Ops is the GiST extension interface ([HNP95]'s consistent, union,
 	// penalty, pickSplit plus a key-equality query builder).
 	Ops = gist.Ops
+	// Intervals is the optional capability of an extension whose
+	// predicates are closed intervals under byte order: it lets a node
+	// visit binary-search the node instead of testing every entry.
+	Intervals = gist.Intervals
 	// Isolation selects search isolation.
 	Isolation = gist.Isolation
 	// SearchResult is one (key, RID) hit.

@@ -69,6 +69,17 @@ func (Ops) Consistent(pred, query []byte) bool {
 	return plo <= qhi && qlo <= phi
 }
 
+// Bounds implements gist.Intervals: a key is the interval [b, b] and a
+// range its two halves, and the encoding preserves numeric order under
+// bytes.Compare. Any other length (no valid predicate has one) is read as
+// a key.
+func (Ops) Bounds(b []byte) (lo, hi []byte) {
+	if len(b) == 16 {
+		return b[:8], b[8:]
+	}
+	return b, b
+}
+
 // Union returns the smallest interval covering both inputs, in canonical
 // 16-byte form.
 func (Ops) Union(a, b []byte) []byte {

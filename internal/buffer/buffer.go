@@ -99,6 +99,30 @@ type Frame struct {
 	// changes only when an unpinned frame is stolen by another shard, so
 	// it is stable for as long as the caller holds a pin.
 	home *shard
+
+	// Order is an in-memory search aid derived from one image of the
+	// cached page, which the tree's node visits publish and read without
+	// a latch. It is current only while its ID and Ver equal the page's
+	// id and the latch's version: every page change happens under X and
+	// bumps the version, and a remap bumps it too (BumpVersion), so a
+	// stale order is never mistaken for a current one.
+	Order atomic.Pointer[SlotOrder]
+}
+
+// SlotOrder is a page's live slots sorted by the lower bound of their
+// predicates, with the running maximum of the upper bounds (see gist's
+// matches). It is immutable once published, except Seen.
+type SlotOrder struct {
+	ID  page.PageID
+	Ver uint64 // latch version of the image it was built from
+
+	// Slots holds the live slots by ascending lower bound; MaxHi[i] is
+	// the slot with the largest upper bound among Slots[:i+1].
+	Slots, MaxHi []uint16
+
+	// Seen is the latch version at which a visit last found no current
+	// order (odd: a build for Seen-1 is under way).
+	Seen atomic.Uint64
 }
 
 // ID returns the id of the page currently held by the frame.

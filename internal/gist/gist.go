@@ -100,6 +100,19 @@ type Ops interface {
 	KeyQuery(key []byte) []byte
 }
 
+// Intervals is an optional capability of an Ops extension whose
+// predicates, keys and queries are all closed intervals under byte order
+// (bytes.Compare). Bounds returns pred's lower and upper bound, both
+// aliasing pred, and must agree with Consistent: Consistent(p, q) holds
+// exactly when lo(p) <= hi(q) and lo(q) <= hi(p), for leaf keys, internal
+// bounding predicates and queries alike. A tree whose extension has it
+// searches a node by binary search over a sorted slot order instead of
+// calling Consistent on every slot (see matches); any other extension
+// keeps the slot-by-slot walk.
+type Intervals interface {
+	Bounds(pred []byte) (lo, hi []byte)
+}
+
 // Isolation selects the transactional isolation of search operations.
 type Isolation int
 
@@ -164,6 +177,7 @@ type Stats struct {
 // Tree is an open generalized search tree.
 type Tree struct {
 	ops   Ops
+	iv    Intervals // ops as Intervals, or nil when it lacks the capability
 	pool  *buffer.Pool
 	tm    *txn.Manager
 	log   *wal.Log
@@ -266,8 +280,12 @@ func (t *Tree) create(tx *txn.Txn) error {
 	defer t.pool.Unpin(rootF, false, 0)
 	// Each page's recLSN is its FIRST record (the allocation), not the
 	// Root-Change logged last: a checkpoint between them must not let
-	// restart redo start past the pages' formatting records.
+	// restart redo start past the pages' formatting records. The pages
+	// change under X like any other: the write-behind flusher may copy a
+	// dirty frame at any time.
 	o := t.opEnter(tx)
+	o.latchPage(anchorF, latch.X)
+	o.latchPage(rootF, latch.X)
 	err = o.logApply(&wal.Record{Type: wal.RecGetPage, Pg: anchorF.ID()}, anchorF)
 	if err == nil {
 		err = o.logApply(&wal.Record{Type: wal.RecGetPage, Pg: rootF.ID()}, rootF)
@@ -275,6 +293,8 @@ func (t *Tree) create(tx *txn.Txn) error {
 	if err == nil {
 		err = o.logApply(&wal.Record{Type: wal.RecRootChange, Pg: anchorF.ID(), Pg2: rootF.ID()}, anchorF)
 	}
+	o.unlatchPage(rootF, latch.X)
+	o.unlatchPage(anchorF, latch.X)
 	if err != nil {
 		t.pool.Unpin(anchorF, false, 0)
 		return err
@@ -317,8 +337,10 @@ func (t *Tree) Close() {
 }
 
 func newTree(pool *buffer.Pool, tm *txn.Manager, cfg Config) *Tree {
+	iv, _ := cfg.Ops.(Intervals)
 	t := &Tree{
 		ops:   cfg.Ops,
+		iv:    iv,
 		pool:  pool,
 		tm:    tm,
 		log:   tm.Log(),
@@ -349,10 +371,10 @@ type op struct {
 	// modification keeps until its nested top action has ended (see smo).
 	smoHeld []func()
 
-	// snap is the page node views copy into, taken from snapPool on
-	// first use and returned at exit so a warm pool keeps the read path
-	// allocation-free.
-	snap *page.Page
+	// snap is the scratch node visits work in (the page copy, the hit
+	// set), taken from scratchPool on first use and returned at exit so a
+	// warm pool keeps the read path allocation-free.
+	snap *scratch
 
 	// Optimistic-read tallies, accumulated locally and folded into the
 	// latch package's registry once at exit so node visits perform no
@@ -505,7 +527,7 @@ func (o *op) finishTrace() {
 }
 
 // exit ends the operation: it folds the operation's trace and optimistic-
-// read tallies into the shared registries and returns its snapshot page.
+// read tallies into the shared registries and returns its scratch.
 func (o *op) exit() {
 	if stats.Enabled && o.kind != "" {
 		o.finishTrace()
@@ -515,7 +537,7 @@ func (o *op) exit() {
 		o.optReads, o.optRestarts, o.optFallbacks = 0, 0, 0
 	}
 	if o.snap != nil {
-		snapPool.Put(o.snap)
+		scratchPool.Put(o.snap)
 		o.snap = nil
 	}
 }

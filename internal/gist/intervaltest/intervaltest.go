@@ -1,0 +1,91 @@
+// Package intervaltest checks an extension's gist.Intervals capability
+// against its Consistent. Extensions that claim the capability run Check
+// from their own tests.
+package intervaltest
+
+import (
+	"bytes"
+	"math/rand"
+	"testing"
+
+	"repro/internal/gist"
+)
+
+// Domain is an ordered run of N points of an extension's key space:
+// Key(i) encodes point i as a leaf key and Range(i, j), i <= j, the
+// closed range from point i to point j. Point 0 and point N-1 should be
+// the extremes of the key space.
+type Domain struct {
+	N     int
+	Key   func(i int) []byte
+	Range func(i, j int) []byte
+}
+
+// Check fails t unless ops has the Intervals capability and it agrees
+// with Consistent. It draws keys and ranges from d — nested, overlapping,
+// disjoint, with equal bounds and at the extremes — and, for every
+// predicate p and query q among them (and every KeyQuery), requires
+// Consistent(p, q) to equal bytes.Compare(lo_p, hi_q) <= 0 &&
+// bytes.Compare(lo_q, hi_p) <= 0 under Bounds. It also requires Bounds to
+// preserve the points' order, to read a range as its two end keys, and
+// to allocate nothing (its bounds alias the predicate).
+func Check(t testing.TB, ops gist.Ops, d Domain, seed int64) {
+	t.Helper()
+	iv, ok := ops.(gist.Intervals)
+	if !ok {
+		t.Fatalf("%T does not implement gist.Intervals", ops)
+	}
+	last := d.N - 1
+	preds := [][]byte{d.Range(0, last), d.Range(0, 0), d.Range(last, last), d.Range(0, last/2), d.Range(last/2, last)}
+	for i := 0; i < d.N; i++ {
+		preds = append(preds, d.Key(i), ops.KeyQuery(d.Key(i)), d.Range(i, i))
+		lo, hi := iv.Bounds(d.Key(i))
+		if !bytes.Equal(lo, hi) {
+			t.Errorf("Bounds(key %d) = [%x, %x], want equal bounds", i, lo, hi)
+		}
+		if i > 0 {
+			if prev, _ := iv.Bounds(d.Key(i - 1)); bytes.Compare(prev, lo) >= 0 {
+				t.Errorf("Bounds does not order key %d below key %d", i-1, i)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(seed))
+	for n := 0; n < 4*d.N; n++ {
+		a, b := rng.Intn(d.N), rng.Intn(d.N)
+		if a > b {
+			a, b = b, a
+		}
+		preds = append(preds, d.Range(a, b))
+		if a+1 < b {
+			preds = append(preds, d.Range(a+1, b-1)) // nested in the last
+		}
+	}
+	for i := 0; i+1 < d.N; i++ {
+		preds = append(preds, d.Range(i, i+1)) // overlaps its neighbours at one point
+	}
+	for i := 0; i < d.N; i++ {
+		for j := i; j < d.N; j++ {
+			lo, hi := iv.Bounds(d.Range(i, j))
+			klo, _ := iv.Bounds(d.Key(i))
+			_, khi := iv.Bounds(d.Key(j))
+			if !bytes.Equal(lo, klo) || !bytes.Equal(hi, khi) {
+				t.Errorf("Bounds(range %d..%d) = [%x, %x], want [%x, %x]", i, j, lo, hi, klo, khi)
+			}
+		}
+	}
+	for _, p := range preds {
+		plo, phi := iv.Bounds(p)
+		for _, q := range preds {
+			qlo, qhi := iv.Bounds(q)
+			want := bytes.Compare(plo, qhi) <= 0 && bytes.Compare(qlo, phi) <= 0
+			if got := ops.Consistent(p, q); got != want {
+				t.Errorf("Consistent(%x, %x) = %v, interval intersection says %v", p, q, got, want)
+			}
+		}
+	}
+	for _, p := range preds[:8] {
+		if n := testing.AllocsPerRun(10, func() { iv.Bounds(p) }); n != 0 {
+			t.Errorf("Bounds(%x) allocates %v times", p, n)
+		}
+	}
+}

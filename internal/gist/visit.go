@@ -58,8 +58,12 @@ package gist
 // remap — the poison is the fail-closed backstop.
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/buffer"
@@ -71,18 +75,46 @@ import (
 // validation before it takes the shared latch instead.
 const optRetries = 3
 
-// snapPool recycles the 8KB pages copies are taken into across
-// operations (not per cursor, which is born fresh on every search), which
-// keeps the warm read path allocation-free.
-var snapPool = sync.Pool{New: func() any { return new(page.Page) }}
+// maxSlots bounds the slot directory of any page: a slot past it would
+// run off the page, so PredAt rejects it.
+const maxSlots = (page.Size - page.HeaderSize) / page.SlotSize
 
-// nodeView is one visit attempt's view of a pinned frame's page: a
-// validated private copy (ver is the seqlock version it validated at) or,
-// once the retry budget is spent, the frame's own page under the shared
-// latch. ctr is the tree-global counter read inside the view's window.
+// scratch is an operation's working memory for node visits: the 8KB page
+// copies are taken into, the current visit's hit set (a bitset over
+// slots), and what an order build works on — the bounds the visit's walk
+// extracted (kept says the walk kept them), the sort's keys in two
+// buffers and the order's arrays before they are published. scratchPool
+// recycles it across operations (not per cursor, which is born fresh on
+// every search), which keeps the warm read path allocation-free.
+type scratch struct {
+	page      page.Page
+	hits      [(maxSlots + 63) / 64]uint64
+	recs      []boundRec
+	kept      bool
+	keys, tmp []sortKey
+	idx       []uint16
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// scratch returns the operation's scratch, taking one from the pool on
+// first use.
+func (o *op) scratch() *scratch {
+	if o.snap == nil {
+		o.snap = scratchPool.Get().(*scratch)
+	}
+	return o.snap
+}
+
+// nodeView is one visit attempt's view of a pinned frame's page id: a
+// validated private copy or, once the retry budget is spent, the frame's
+// own page under the shared latch. ver is the seqlock version the copy
+// validated at, or the (stable) version under the latch. ctr is the
+// tree-global counter read inside the view's window.
 type nodeView struct {
 	f       *buffer.Frame
 	p       *page.Page
+	id      page.PageID
 	ver     uint64
 	ctr     page.LSN
 	latched bool
@@ -103,14 +135,13 @@ func (o *op) openView(f *buffer.Frame, expect page.PageID, attempt int) (v nodeV
 	if attempt > optRetries {
 		o.optFallbacks++
 		o.latchPage(f, latch.S)
-		return nodeView{f: f, p: &f.Page, ctr: o.t.counter(), latched: true}, true
+		ver, _ := f.Latch.TryOptimistic() // no X holder while S is held
+		return nodeView{f: f, p: &f.Page, id: expect, ver: ver, ctr: o.t.counter(), latched: true}, true
 	}
 	if attempt > 0 {
 		runtime.Gosched()
 	}
-	if o.snap == nil {
-		o.snap = snapPool.Get().(*page.Page)
-	}
+	snap := &o.scratch().page
 	ver, ok := f.Latch.TryOptimistic()
 	if !ok {
 		o.optRestarts++
@@ -124,16 +155,16 @@ func (o *op) openView(f *buffer.Frame, expect page.PageID, attempt int) (v nodeV
 	// header could have been torn. The uncopied middle is free space on
 	// any consistent page, so no accessor ever reads the stale bytes left
 	// there by a previous copy.
-	src, dst := f.Page.Bytes(), o.snap.Bytes()
+	src, dst := f.Page.Bytes(), snap.Bytes()
 	latch.RacyCopy(dst[:page.HeaderSize], src[:page.HeaderSize])
-	front, tail := o.snap.UsedBounds()
+	front, tail := snap.UsedBounds()
 	latch.RacyCopy(dst[page.HeaderSize:front], src[page.HeaderSize:front])
 	latch.RacyCopy(dst[tail:], src[tail:])
-	if !f.Latch.Validate(ver) || o.snap.ID() != expect { // invariant 3
+	if !f.Latch.Validate(ver) || snap.ID() != expect { // invariant 3
 		o.optRestarts++
 		return nodeView{}, false
 	}
-	return nodeView{f: f, p: o.snap, ver: ver, ctr: ctr}, true
+	return nodeView{f: f, p: snap, id: expect, ver: ver, ctr: ctr}, true
 }
 
 // closeView ends a visit whose final valid() held: it releases a latched
@@ -144,6 +175,245 @@ func (o *op) closeView(v *nodeView) {
 		return
 	}
 	o.optReads++
+}
+
+// matches is the one match step of a node visit: it marks in the
+// operation's hit set the slots of v's page whose predicates are
+// consistent with query, and returns the set's words up to the page's
+// last slot. Callers read the hits in ascending slot order, so traversal,
+// lock and result order do not depend on how the set was computed.
+//
+// With an Intervals extension and a current order on the frame (see
+// buffer.Frame.Order), the step binary-searches the order for the first
+// position whose running maximum upper bound reaches the query's lower
+// bound — every slot before it ends below the query — and walks from
+// there while the lower bound stays at or below the query's upper bound,
+// keeping the slots whose upper bound reaches the query. That is exact
+// for overlapping predicates too, and reads O(log n) predicates plus the
+// ones it walks instead of n. Without a current order it tests every
+// slot's bounds, and keeps them for learnOrder when the visit is the one
+// that builds the order. An extension without the capability has
+// Consistent called on every slot.
+func (o *op) matches(v *nodeView, query []byte) []uint64 {
+	p, sc, iv := v.p, o.scratch(), o.t.iv
+	n := min(p.NumSlots(), maxSlots)
+	hits := sc.hits[:(n+63)/64]
+	clear(hits)
+	sc.kept = false
+	if iv == nil {
+		for i := 0; i < n; i++ {
+			if pred, ok := p.PredAt(i); ok && o.t.ops.Consistent(pred, query) {
+				hits[i>>6] |= 1 << (i & 63)
+			}
+		}
+		return hits
+	}
+	ord := v.f.Order.Load()
+	if ord != nil && ord.ID == v.id && ord.Ver == v.ver {
+		if o.orderedMatches(p, ord, query, hits) {
+			return hits
+		}
+		clear(hits)
+	}
+	keep := !v.latched && ord != nil && ord.Seen.Load() == v.ver
+	recs := sc.recs[:0]
+	qlo, qhi := iv.Bounds(query)
+	for i := 0; i < n; i++ {
+		pred, ok := p.PredAt(i)
+		if !ok {
+			continue
+		}
+		lo, hi := iv.Bounds(pred)
+		if keep {
+			recs = append(recs, boundRec{lo: lo, hi: hi, slot: uint16(i)})
+		}
+		if bytes.Compare(lo, qhi) <= 0 && bytes.Compare(qlo, hi) <= 0 {
+			hits[i>>6] |= 1 << (i & 63)
+		}
+	}
+	sc.recs, sc.kept = recs, keep
+	return hits
+}
+
+// orderedMatches is matches' search over a current order. It reports
+// false, leaving hits partly set, if a slot of the order is not live on
+// p — impossible for an image of the order's version, and answered by the
+// slot-by-slot walk all the same.
+func (o *op) orderedMatches(p *page.Page, ord *buffer.SlotOrder, query []byte, hits []uint64) bool {
+	iv := o.t.iv
+	qlo, qhi := iv.Bounds(query)
+	lo, hi := 0, len(ord.MaxHi)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		pred, ok := p.PredAt(int(ord.MaxHi[m]))
+		if !ok {
+			return false
+		}
+		if _, top := iv.Bounds(pred); bytes.Compare(top, qlo) < 0 {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	for _, s := range ord.Slots[lo:] {
+		pred, ok := p.PredAt(int(s))
+		if !ok {
+			return false
+		}
+		plo, phi := iv.Bounds(pred)
+		if bytes.Compare(plo, qhi) > 0 {
+			break
+		}
+		if bytes.Compare(phi, qlo) >= 0 {
+			hits[s>>6] |= 1 << (s & 63)
+		}
+	}
+	return true
+}
+
+// learnOrder runs when a visit that called matches has ended with its
+// final valid() holding, so a copy view's copy is the page's image at
+// v.ver. The first such visit at a version finds no current order and
+// only stamps the version on the frame; the second builds the order from
+// its copy and publishes it, and later visits at that version search it.
+// Nothing is built inside a visit's optimistic window or under a latch (a
+// latched view is skipped), and building only on the second visit keeps
+// a node written between every two reads from paying for orders nobody
+// uses.
+func (o *op) learnOrder(v *nodeView) {
+	if o.t.iv == nil || v.latched {
+		return
+	}
+	ord := v.f.Order.Load()
+	switch {
+	case ord == nil:
+		stamp := new(buffer.SlotOrder) // once per frame: later stamps reuse it
+		stamp.Seen.Store(v.ver)
+		v.f.Order.CompareAndSwap(nil, stamp)
+	case ord.ID == v.id && ord.Ver == v.ver:
+		// Current.
+	case ord.Seen.CompareAndSwap(v.ver, v.ver|1):
+		v.f.Order.Store(o.buildOrder(v))
+	default:
+		if seen := ord.Seen.Load(); seen < v.ver {
+			ord.Seen.CompareAndSwap(seen, v.ver)
+		}
+	}
+}
+
+// boundRec is one live slot's bounds, extracted once per order build.
+type boundRec struct {
+	lo, hi []byte
+	slot   uint16
+}
+
+// sortKey is a record's sort key: the first eight bytes of its lower
+// bound as a big-endian integer, zero-padded, and the record's index.
+type sortKey struct {
+	k uint64
+	i uint16
+}
+
+// prefix8 is b's first eight bytes as a big-endian integer, zero-padded;
+// prefix8(a) < prefix8(b) implies bytes.Compare(a, b) < 0.
+func prefix8(b []byte) uint64 {
+	if len(b) >= 8 {
+		return binary.BigEndian.Uint64(b)
+	}
+	var pad [8]byte
+	copy(pad[:], b)
+	return binary.BigEndian.Uint64(pad[:])
+}
+
+// buildOrder sorts the live slots of the copy view v by lower bound and
+// computes the running maximum upper bound, from the bounds the visit's
+// walk kept or, if it kept none, extracted here. The sort reads only
+// those records: a radix sort on the lower bounds' eight-byte prefixes,
+// then an insertion sort by the full bytes within each run of equal
+// prefixes.
+func (o *op) buildOrder(v *nodeView) *buffer.SlotOrder {
+	p, sc := v.p, o.scratch()
+	recs := sc.recs
+	if !sc.kept {
+		recs = recs[:0]
+		for i, n := 0, min(p.NumSlots(), maxSlots); i < n; i++ {
+			if pred, ok := p.PredAt(i); ok {
+				lo, hi := o.t.iv.Bounds(pred)
+				recs = append(recs, boundRec{lo: lo, hi: hi, slot: uint16(i)})
+			}
+		}
+	}
+	n := len(recs)
+	keys := sc.keys[:0]
+	for i := range recs {
+		keys = append(keys, sortKey{k: prefix8(recs[i].lo), i: uint16(i)})
+	}
+	keys, sc.tmp = radixSort(keys, slices.Grow(sc.tmp[:0], n)[:n])
+	for i := 1; i < n; i++ {
+		for j := i; j > 0 && keys[j-1].k == keys[j].k && bytes.Compare(recs[keys[j-1].i].lo, recs[keys[j].i].lo) > 0; j-- {
+			keys[j-1], keys[j] = keys[j], keys[j-1]
+		}
+	}
+	// Slots and MaxHi go to the idx scratch first: on a node of points
+	// (a leaf of keys) every slot is its own running maximum — ties move
+	// the maximum to the later slot — and the two share one array.
+	sc.idx = slices.Grow(sc.idx[:0], 2*n)[:2*n]
+	slots, maxHi := sc.idx[:n], sc.idx[n:]
+	points := true
+	var top []byte
+	var topSlot uint16
+	for i, k := range keys {
+		r := &recs[k.i]
+		if i == 0 || bytes.Compare(r.hi, top) >= 0 {
+			top, topSlot = r.hi, r.slot
+		}
+		slots[i], maxHi[i] = r.slot, topSlot
+		points = points && topSlot == r.slot
+	}
+	ord := &buffer.SlotOrder{ID: v.id, Ver: v.ver}
+	if points {
+		ord.Slots = slices.Clone(slots)
+		ord.MaxHi = ord.Slots
+	} else {
+		idx := slices.Clone(sc.idx)
+		ord.Slots, ord.MaxHi = idx[:n:n], idx[n:]
+	}
+	sc.recs, sc.keys, sc.kept = recs[:0], keys[:0], false
+	return ord
+}
+
+// radixSort sorts keys by k, least significant byte first, using tmp (as
+// long as keys) as the second buffer; it returns the sorted keys and the
+// other buffer. A byte position where every key has the same byte is
+// skipped.
+func radixSort(keys, tmp []sortKey) (sorted, spare []sortKey) {
+	if len(keys) < 2 {
+		return keys, tmp
+	}
+	var counts [8][256]uint16
+	for _, x := range keys {
+		for b := range counts {
+			counts[b][byte(x.k>>(8*b))]++
+		}
+	}
+	for b := range counts {
+		c := &counts[b]
+		if int(c[byte(keys[0].k>>(8*b))]) == len(keys) {
+			continue
+		}
+		var sum uint16
+		for d, m := range c {
+			c[d] = sum
+			sum += m
+		}
+		for _, x := range keys {
+			d := byte(x.k >> (8 * b))
+			tmp[c[d]] = x
+			c[d]++
+		}
+		keys, tmp = tmp, keys
+	}
+	return keys, tmp
 }
 
 // rootID reads the root pointer through a view of the permanently pinned
@@ -195,10 +465,10 @@ func (o *op) visitInternal(f *buffer.Frame, se stackEntry, query []byte, stack [
 				chased = true
 			}
 		}
-		for i := 0; i < p.NumSlots(); i++ {
-			if pred, ok := p.PredAt(i); ok && t.ops.Consistent(pred, query) {
-				child := p.ChildAt(i)
-				stack = append(stack, stackEntry{pg: child, nsn: v.ctr})
+		for w, word := range o.matches(&v, query) {
+			for ; word != 0; word &= word - 1 {
+				i := w<<6 | bits.TrailingZeros64(word)
+				stack = append(stack, stackEntry{pg: p.ChildAt(i), nsn: v.ctr})
 			}
 		}
 		if !v.valid() {
@@ -209,6 +479,7 @@ func (o *op) visitInternal(f *buffer.Frame, se stackEntry, query []byte, stack [
 		if chased {
 			t.Stats.RightlinkChases.Add(1)
 		}
+		o.learnOrder(&v)
 		o.closeView(&v)
 		t.pool.Unpin(f, false, 0)
 		return stack
@@ -260,40 +531,40 @@ func (c *Cursor) visit(f *buffer.Frame, se stackEntry) error {
 func (c *Cursor) visitLeaf(v *nodeView, se stackEntry) (done bool, err error) {
 	t, o, p := c.t, c.o, v.p
 	base := len(c.pending)
-	for i := 0; i < p.NumSlots(); i++ {
-		key, ok := p.PredAt(i)
-		if !ok || !t.ops.Consistent(key, c.query) {
-			continue
-		}
-		rid, deleted := p.LeafAt(i)
-		if c.seen[rid] {
-			continue
-		}
-		if !o.lockResult(rid, deleted, c.iso) {
-			// A writer (inserter or logical deleter) holds the record:
-			// Degree 3 requires waiting for it. The deleted entry's
-			// physical presence is exactly what gives us this chance to
-			// block (§7).
-			if !v.valid() {
-				c.rollback(base) // invariant 4
+	for w, word := range o.matches(v, c.query) {
+		for ; word != 0; word &= word - 1 {
+			i := w<<6 | bits.TrailingZeros64(word)
+			rid, deleted := p.LeafAt(i)
+			if c.seen[rid] {
+				continue
 			}
-			o.closeView(v)
-			t.pool.Unpin(v.f, false, 0)
-			if err := o.waitRecord(rid); err != nil {
-				return true, err
+			if !o.lockResult(rid, deleted, c.iso) {
+				// A writer (inserter or logical deleter) holds the
+				// record: Degree 3 requires waiting for it. The deleted
+				// entry's physical presence is exactly what gives us
+				// this chance to block (§7).
+				if !v.valid() {
+					c.rollback(base) // invariant 4
+				}
+				o.closeView(v)
+				t.pool.Unpin(v.f, false, 0)
+				if err := o.waitRecord(rid); err != nil {
+					return true, err
+				}
+				c.stack = append(c.stack, se)
+				return true, nil
 			}
-			c.stack = append(c.stack, se)
-			return true, nil
+			// Lock granted instantly: within a valid window the entry
+			// state is final for any terminated writer — a committed
+			// delete leaves the mark set, an aborted delete has unmarked
+			// it (and bumped the version of a copy taken before).
+			if deleted {
+				continue
+			}
+			key, _ := p.PredAt(i)
+			c.pending = append(c.pending, SearchResult{Key: append([]byte(nil), key...), RID: rid})
+			c.seen[rid] = true
 		}
-		// Lock granted instantly: within a valid window the entry state
-		// is final for any terminated writer — a committed delete leaves
-		// the mark set, an aborted delete has unmarked it (and bumped the
-		// version of a copy taken before).
-		if deleted {
-			continue
-		}
-		c.pending = append(c.pending, SearchResult{Key: append([]byte(nil), key...), RID: rid})
-		c.seen[rid] = true
 	}
 	if !v.valid() {
 		c.rollback(base) // invariant 4
@@ -304,6 +575,7 @@ func (c *Cursor) visitLeaf(v *nodeView, se stackEntry) (done bool, err error) {
 		c.stack = append(c.stack, stackEntry{pg: rl, nsn: se.nsn})
 		t.Stats.RightlinkChases.Add(1)
 	}
+	o.learnOrder(v)
 	o.closeView(v)
 	t.pool.Unpin(v.f, false, 0)
 	return true, nil

@@ -37,6 +37,14 @@ type Applier struct {
 	losers  map[page.TxnID]page.LSN
 	maxTxn  uint64        // high-water of transaction ids seen in the stream
 	applied atomic.Uint64 // LSN through which history has been repeated
+
+	// held maps each page whose last allocation record is a Free-Page of
+	// a still-active transaction to that transaction. Like restart's
+	// keepFreed, such a page keeps its storage and image: promotion's
+	// undo may compensate the Free-Page, and its CLR keeps the node's
+	// entries. The page is given back once the transaction ends, or after
+	// promotion's undo, if it is still freed then.
+	held map[page.PageID]page.TxnID
 }
 
 // NewApplier builds an applier over a replica's log, pool, disk, and
@@ -46,6 +54,7 @@ func NewApplier(log *wal.Log, pool *buffer.Pool, disk storage.Manager, tm *txn.M
 	ap := &Applier{
 		r:      &Recovery{Log: log, Pool: pool, Disk: disk, TM: tm, Workers: workers},
 		losers: make(map[page.TxnID]page.LSN),
+		held:   make(map[page.PageID]page.TxnID),
 	}
 	ap.r.initMetrics()
 	return ap
@@ -59,7 +68,9 @@ func (ap *Applier) Metrics() *stats.Registry { return ap.r.Metrics() }
 // ApplyBatch repeats history for one contiguous batch of records, which the
 // caller has already appended to the replica log (AppendShipped). It fuses
 // the restart scan's per-record work — allocation replay, ATT maintenance,
-// redo routing — and then drains the batch's per-page queues.
+// redo routing — and then drains the batch's per-page queues. A Free-Page
+// gives its page back in the drain only if its transaction has ended by
+// the batch's end; otherwise the page is held (see held).
 func (ap *Applier) ApplyBatch(recs []*wal.Record) error {
 	if len(recs) == 0 {
 		return nil
@@ -68,7 +79,15 @@ func (ap *Applier) ApplyBatch(recs []*wal.Record) error {
 		byPage:  make(map[page.PageID][]*wal.Record),
 		dealloc: make(map[page.PageID]bool),
 	}
+	lastFree := make(map[page.PageID]*wal.Record)
 	for _, rec := range recs {
+		switch base, clr := rec.Type.Base(), rec.Type.IsCLR(); {
+		case base == wal.RecFreePage && !clr:
+			lastFree[rec.Pg] = rec
+		case base == wal.RecGetPage, base == wal.RecFreePage:
+			delete(lastFree, rec.Pg)
+			delete(ap.held, rec.Pg)
+		}
 		// Allocation replay happens inside the redo drain (redoOnPage runs
 		// the Table 1 side effects from each record's primary page, in
 		// per-page LSN order). Restart replays allocation inline during its
@@ -99,6 +118,14 @@ func (ap *Applier) ApplyBatch(recs []*wal.Record) error {
 			}
 		}
 	}
+	ap.r.freeAt = make(map[page.PageID]page.LSN, len(lastFree))
+	for pg, rec := range lastFree {
+		if _, active := ap.losers[rec.Txn]; active {
+			ap.held[pg] = rec.Txn
+		} else {
+			ap.r.freeAt[pg] = rec.LSN
+		}
+	}
 	a := &Analysis{RedoLSN: recs[0].LSN, DPT: map[page.PageID]page.LSN{}}
 	var st Stats
 	var t0 time.Time
@@ -106,6 +133,9 @@ func (ap *Applier) ApplyBatch(recs []*wal.Record) error {
 		t0 = time.Now()
 	}
 	if err := ap.r.redo(a, plan, &st, ap.r.workers()); err != nil {
+		return fmt.Errorf("apply: %w", err)
+	}
+	if err := ap.release(); err != nil {
 		return fmt.Errorf("apply: %w", err)
 	}
 	if stats.Enabled {
@@ -155,7 +185,23 @@ func (ap *Applier) UndoLosers() (int, error) {
 		return st.Undone, err
 	}
 	ap.losers = make(map[page.TxnID]page.LSN)
-	return st.Undone, nil
+	return st.Undone, ap.release()
+}
+
+// release gives back each held page whose transaction is no longer in
+// flight, if the page is still freed (its Free-Page was not compensated).
+func (ap *Applier) release() error {
+	if len(ap.held) == 0 {
+		return nil
+	}
+	ap.r.keepFreed = make(map[page.PageID]bool)
+	for pg, txn := range ap.held {
+		if _, active := ap.losers[txn]; !active {
+			ap.r.keepFreed[pg] = true
+			delete(ap.held, pg)
+		}
+	}
+	return ap.r.freeUndone()
 }
 
 // Pool and Disk expose the applier's dependencies for the promotion

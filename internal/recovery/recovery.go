@@ -62,11 +62,10 @@ type Recovery struct {
 	// A restart gives a freed page's storage back only where the log
 	// leaves it free: freeAt maps each page a committed or completed
 	// transaction freed last to that Free-Page's LSN, the one record whose
-	// redo gives the page back (nil outside restart: an Applier gives back
-	// at every Free-Page). keepFreed holds the pages a loser freed last:
-	// undo may compensate that record, and its CLR keeps the node's
-	// entries, so the page keeps its storage and image until undo has run
-	// (freeUndone).
+	// redo gives the page back (an Applier sets it per batch). keepFreed
+	// holds the pages a loser freed last: undo may compensate that record,
+	// and its CLR keeps the node's entries, so the page keeps its storage
+	// and image until undo has run (freeUndone).
 	freeAt    map[page.PageID]page.LSN
 	keepFreed map[page.PageID]bool
 
@@ -643,7 +642,7 @@ func (r *Recovery) redoOnPage(rec *wal.Record, pg page.PageID, st *Stats) error 
 				// than free a page whose image was never stamped.
 				return fmt.Errorf("free-page fetch: %w", err)
 			}
-			if r.freeAt == nil || r.freeAt[rec.Pg] == rec.LSN {
+			if r.freeAt[rec.Pg] == rec.LSN {
 				switch err := r.deallocate(rec.Pg); {
 				case err == nil:
 					applied = true

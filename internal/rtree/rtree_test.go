@@ -5,6 +5,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/gist"
 )
 
 func TestRectBasics(t *testing.T) {
@@ -199,5 +201,14 @@ func TestKeyQuery(t *testing.T) {
 	q := Ops{}.KeyQuery(EncodePoint(4, 5))
 	if DecodeRect(q) != Point(4, 5) {
 		t.Errorf("KeyQuery = %v", DecodeRect(q))
+	}
+}
+
+// TestNoIntervals: a rectangle is not an interval under byte order, so
+// the R-tree extension must not claim the capability; window searches
+// keep testing every entry of a visited node.
+func TestNoIntervals(t *testing.T) {
+	if _, ok := any(Ops{}).(gist.Intervals); ok {
+		t.Fatal("rtree.Ops implements gist.Intervals")
 	}
 }

@@ -104,6 +104,10 @@ func (Ops) Consistent(pred, query []byte) bool {
 	return bytes.Compare(plo, qhi) <= 0 && bytes.Compare(qlo, phi) <= 0
 }
 
+// Bounds implements gist.Intervals: the raw bounds of a key or a range,
+// ordered lexicographically like Consistent's.
+func (Ops) Bounds(b []byte) (lo, hi []byte) { return asRange(b) }
+
 // Union returns the smallest interval covering both inputs, canonically
 // encoded as a range.
 func (Ops) Union(a, b []byte) []byte {
