@@ -63,7 +63,8 @@ type (
 	Ops = gist.Ops
 	// Intervals is the optional capability of an extension whose
 	// predicates are closed intervals under byte order: it lets a node
-	// visit binary-search the node instead of testing every entry.
+	// visit, and the insert descent's choice of subtree, binary-search the
+	// node instead of testing every entry.
 	Intervals = gist.Intervals
 	// Isolation selects search isolation.
 	Isolation = gist.Isolation

@@ -103,16 +103,19 @@ func (Ops) Union(a, b []byte) []byte {
 }
 
 // Penalty is the interval growth needed to accommodate the key: zero when
-// contained, else the distance to the nearer boundary. Saturating
-// arithmetic keeps extreme values ordered without overflow.
+// contained, else the distance to the nearer boundary. The distance is
+// taken exactly, as an unsigned difference, before it is converted: the
+// difference of two converted values rounds to 0 for keys past 2^53 that
+// differ by a little, and a key outside the interval must cost at least 1
+// (the gist.Intervals contract).
 func (Ops) Penalty(bp, key []byte) float64 {
 	lo, hi := asRange(bp)
 	k, _ := asRange(key)
 	switch {
 	case k < lo:
-		return float64(lo) - float64(k)
+		return float64(uint64(lo) - uint64(k))
 	case k > hi:
-		return float64(k) - float64(hi)
+		return float64(uint64(k) - uint64(hi))
 	default:
 		return 0
 	}

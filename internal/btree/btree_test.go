@@ -136,6 +136,41 @@ func TestPenalty(t *testing.T) {
 	}
 }
 
+// TestPenaltyPastFloatPrecision: a key outside the interval costs at
+// least 1 however large the values, and a key inside costs 0 (the
+// gist.Intervals contract the ordered insert descent relies on). Past
+// 2^53 the difference of two converted values rounds to 0.
+func TestPenaltyPastFloatPrecision(t *testing.T) {
+	var ops Ops
+	const big = int64(1) << 62
+	for _, c := range []struct {
+		lo, hi, k int64
+	}{
+		{big + 1, big + 11, big},
+		{big - 11, big - 1, big},
+		{-big + 1, -big + 11, -big},
+		{-big - 11, -big - 1, -big},
+		{math.MaxInt64, math.MaxInt64, math.MaxInt64 - 1},
+		{math.MinInt64, math.MinInt64, math.MinInt64 + 1},
+		{math.MinInt64, math.MinInt64, math.MaxInt64},
+		{math.MaxInt64, math.MaxInt64, math.MinInt64},
+	} {
+		bp := EncodeRange(c.lo, c.hi)
+		if p := ops.Penalty(bp, EncodeKey(c.k)); p < 1 {
+			t.Errorf("Penalty([%d, %d], %d) = %v, want at least 1", c.lo, c.hi, c.k, p)
+		}
+		for _, k := range []int64{c.lo, c.hi} {
+			if p := ops.Penalty(bp, EncodeKey(k)); p != 0 {
+				t.Errorf("Penalty([%d, %d], %d) = %v, want 0", c.lo, c.hi, k, p)
+			}
+		}
+	}
+	if near, far := ops.Penalty(EncodeRange(big+1, big+11), EncodeKey(big)),
+		ops.Penalty(EncodeRange(big+1, big+11), EncodeKey(0)); near >= far {
+		t.Errorf("Penalty of the nearer key %v, want below the farther key's %v", near, far)
+	}
+}
+
 func TestPickSplitOrdersAndBalances(t *testing.T) {
 	var ops Ops
 	keys := []int64{50, 10, 40, 20, 30, 60, 5}

@@ -123,10 +123,7 @@ func (o *op) gcLeafLocked(f *buffer.Frame, stack []pathEntry, unlink bool) {
 	}
 	var bodies [][]byte
 	for i := 0; i < f.Page.NumSlots(); i++ {
-		if _, ok := f.Page.PredAt(i); !ok {
-			continue
-		}
-		if _, deleted := f.Page.LeafAt(i); !deleted {
+		if _, _, deleted, ok := f.Page.LeafAt(i); !ok || !deleted {
 			continue
 		}
 		if d := f.Page.DeleterAt(i); d != page.InvalidTxn && !t.tm.IsActive(d) {

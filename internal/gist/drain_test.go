@@ -27,8 +27,7 @@ func (e *env) leafEntries(leaf page.PageID) (keys []int64, rids []page.RID) {
 	}
 	defer e.pool.Unpin(f, false, 0)
 	for i := 0; i < f.Page.NumSlots(); i++ {
-		if key, ok := f.Page.PredAt(i); ok {
-			rid, _ := f.Page.LeafAt(i)
+		if key, rid, _, ok := f.Page.LeafAt(i); ok {
 			keys = append(keys, btree.DecodeKey(key))
 			rids = append(rids, rid)
 		}

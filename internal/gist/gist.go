@@ -105,10 +105,13 @@ type Ops interface {
 // (bytes.Compare). Bounds returns pred's lower and upper bound, both
 // aliasing pred, and must agree with Consistent: Consistent(p, q) holds
 // exactly when lo(p) <= hi(q) and lo(q) <= hi(p), for leaf keys, internal
-// bounding predicates and queries alike. A tree whose extension has it
-// searches a node by binary search over a sorted slot order instead of
-// calling Consistent on every slot (see matches); any other extension
-// keeps the slot-by-slot walk.
+// bounding predicates and queries alike. Penalty must agree with it too:
+// Penalty(pred, key) is 0 when the leaf key lies within pred's bounds and
+// greater than 0 otherwise. A tree whose extension has it searches a node
+// by binary search over a sorted slot order instead of calling Consistent
+// on every slot (see matches), and its insert descent finds the first
+// penalty-0 entry the same way (see chooseSubtree); any other extension
+// keeps the slot-by-slot walks.
 type Intervals interface {
 	Bounds(pred []byte) (lo, hi []byte)
 }
@@ -537,6 +540,7 @@ func (o *op) exit() {
 		o.optReads, o.optRestarts, o.optFallbacks = 0, 0, 0
 	}
 	if o.snap != nil {
+		o.snap.kept = false // the kept bounds alias a page of this operation
 		scratchPool.Put(o.snap)
 		o.snap = nil
 	}

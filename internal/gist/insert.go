@@ -22,9 +22,14 @@ import (
 // revisits buffer-resident pages and never performs I/O while holding a
 // child latch.
 type pathEntry struct {
-	pg   page.PageID
-	f    *buffer.Frame
-	slot int // the entry the descent followed; a hint, as splits move entries
+	pg    page.PageID
+	f     *buffer.Frame
+	slot  int         // the entry the descent followed; a hint, as splits move entries
+	child page.PageID // that entry's child
+	// At the leaf's parent: the followed entry covered the key (Union
+	// left it unchanged) in the image of f at latch version ver.
+	ver     uint64
+	covered bool
 }
 
 // Insert adds a (key, RID) pair to the tree, implementing the phases of §6:
@@ -172,12 +177,12 @@ func (o *op) locateLeaf(key []byte) (*buffer.Frame, []pathEntry, error) {
 		// Level is immutable for a page id, so reading it before
 		// choosing how to visit is safe.
 		if !f.Page.IsLeaf() {
-			at, slot, child, next, err := o.descend(f, cur, curNSN, key)
+			pe, child, next, err := o.descend(f, cur, curNSN, key)
 			if err != nil {
 				o.releasePath(stack)
 				return nil, nil, err
 			}
-			stack = append(stack, pathEntry{pg: at.ID(), f: at, slot: slot}) // stays pinned
+			stack = append(stack, pe) // stays pinned
 			cur, curNSN = child, next
 			continue
 		}
@@ -256,9 +261,9 @@ func (o *op) bestInChain(f *buffer.Frame, mode latch.Mode, memorized page.LSN, k
 }
 
 // minPenaltySlot returns the slot of the internal entry whose predicate the
-// extension's Penalty ranks best for key (the first of equals), or -1 on
-// an empty node.
-func (t *Tree) minPenaltySlot(p *page.Page, key []byte) int {
+// extension's Penalty ranks best for key (the first of equals) and its
+// penalty, or -1 on an empty node.
+func (t *Tree) minPenaltySlot(p *page.Page, key []byte) (slot int, penalty float64) {
 	bestSlot, bestPenalty := -1, math.Inf(1)
 	for i := 0; i < p.NumSlots(); i++ {
 		pred, ok := p.PredAt(i)
@@ -269,7 +274,7 @@ func (t *Tree) minPenaltySlot(p *page.Page, key []byte) int {
 			bestPenalty, bestSlot = pen, i
 		}
 	}
-	return bestSlot
+	return bestSlot, bestPenalty
 }
 
 // chainPenalty scores a whole node as an insertion target: the cost of
@@ -748,6 +753,9 @@ func (o *op) writeParentUpdates(parentF *buffer.Frame, lv splitLevel) error {
 // throughout.
 func (o *op) propagateBP(childF *buffer.Frame, pred []byte, stack []pathEntry) error {
 	t := o.t
+	if coveredParent(childF, stack) {
+		return nil
+	}
 	parentF, slot, ownPin, err := o.ascendToParent(stack, childF.ID(), childF.Page.Level())
 	if err != nil {
 		return err
@@ -789,6 +797,24 @@ func (o *op) propagateBP(childF *buffer.Frame, pred []byte, stack []pathEntry) e
 	})
 	o.releaseParent(parentF, ownPin)
 	return nil
+}
+
+// coveredParent reports whether the entry the descent followed into the
+// X-latched childF still covers the key, without latching the parent: the
+// descent found it covering at the version it recorded, and the parent's
+// latch has not been taken in X since. Then the entry needs no widening,
+// and it cannot shrink before the key is installed: every shrink of a
+// parent entry (shrinkParentBP, a split's tightening, node deletion) holds
+// the child's X latch, which the caller keeps until then. Widening only
+// grows the entry, and a split of the parent moves it unchanged. A move
+// along the leaf chain, a split or a passing-through shrink fails the test
+// (another child, or a new version), and the parent is latched as before.
+func coveredParent(childF *buffer.Frame, stack []pathEntry) bool {
+	if len(stack) == 0 {
+		return false
+	}
+	top := &stack[len(stack)-1]
+	return top.covered && top.child == childF.ID() && top.f.Latch.Validate(top.ver)
 }
 
 // releaseParent unlatches a parent that ascendToParent X-latched,

@@ -28,7 +28,9 @@ type Domain struct {
 // Consistent(p, q) to equal bytes.Compare(lo_p, hi_q) <= 0 &&
 // bytes.Compare(lo_q, hi_p) <= 0 under Bounds. It also requires Bounds to
 // preserve the points' order, to read a range as its two end keys, and
-// to allocate nothing (its bounds alias the predicate).
+// to allocate nothing (its bounds alias the predicate). Last it requires
+// Penalty(p, key) to be 0 for every key of d within p's bounds and above 0
+// for every other.
 func Check(t testing.TB, ops gist.Ops, d Domain, seed int64) {
 	t.Helper()
 	iv, ok := ops.(gist.Intervals)
@@ -80,6 +82,16 @@ func Check(t testing.TB, ops gist.Ops, d Domain, seed int64) {
 			want := bytes.Compare(plo, qhi) <= 0 && bytes.Compare(qlo, phi) <= 0
 			if got := ops.Consistent(p, q); got != want {
 				t.Errorf("Consistent(%x, %x) = %v, interval intersection says %v", p, q, got, want)
+			}
+		}
+	}
+	for _, p := range preds {
+		plo, phi := iv.Bounds(p)
+		for i := 0; i < d.N; i++ {
+			k, _ := iv.Bounds(d.Key(i))
+			in := bytes.Compare(plo, k) <= 0 && bytes.Compare(k, phi) <= 0
+			if pen := ops.Penalty(p, d.Key(i)); in && pen != 0 || !in && !(pen > 0) {
+				t.Errorf("Penalty(%x, key %d) = %v, want 0 exactly when the key is within the bounds (within: %v)", p, i, pen, in)
 			}
 		}
 	}

@@ -378,3 +378,224 @@ func BenchmarkMatches(b *testing.B) {
 		})
 	}
 }
+
+// penaltyCounter forwards an Intervals extension and counts its Penalty
+// calls, which only the insert descent's slot-by-slot walk makes.
+type penaltyCounter struct {
+	Ops
+	calls *int
+}
+
+func (c penaltyCounter) Bounds(b []byte) (lo, hi []byte) { return c.Ops.(Intervals).Bounds(b) }
+
+func (c penaltyCounter) Penalty(pred, key []byte) float64 {
+	*c.calls++
+	return c.Ops.Penalty(pred, key)
+}
+
+// checkChooseSubtree requires the insert descent's choice on the internal
+// page p — with no order on the frame and with a current one — to be
+// minPenaltySlot's slot for every key, and its zero flag to say whether
+// that slot's penalty is 0. With the order, a key some entry contains must
+// be decided without a Penalty call. It returns how many keys were.
+func checkChooseSubtree(t testing.TB, ops Ops, p *page.Page, keys [][]byte) (ordered int) {
+	t.Helper()
+	var calls int
+	o := orderOp(penaltyCounter{ops, &calls})
+	defer o.exit()
+	v := nodeView{f: new(buffer.Frame), p: p, id: p.ID(), ver: 2}
+	ord := o.buildOrder(&v)
+	for _, k := range keys {
+		want, pen := o.t.minPenaltySlot(p, k)
+		for _, cur := range []*buffer.SlotOrder{nil, ord} {
+			v.f.Order.Store(cur)
+			calls = 0
+			got, zero := o.chooseSubtree(&v, k)
+			if got != want || zero != (pen == 0) {
+				t.Fatalf("key %x (order %v): chose slot %d (zero %v), minPenaltySlot %d (penalty %v)", k, cur != nil, got, zero, want, pen)
+			}
+			if cur != nil && zero {
+				if calls != 0 {
+					t.Fatalf("key %x: a contained key took %d Penalty calls with a current order", k, calls)
+				}
+				ordered++
+			}
+		}
+	}
+	return ordered
+}
+
+// btreeNear is a btree bound as keys: the bound and its two neighbours.
+func btreeNear(bound []byte) [][]byte {
+	k := btree.DecodeKey(bound)
+	return [][]byte{btree.EncodeKey(k - 1), bound, btree.EncodeKey(k + 1)}
+}
+
+// strtreeNear is a strtree bound as keys: the bound and its successor.
+func strtreeNear(bound []byte) [][]byte {
+	return [][]byte{strtree.EncodeKey(bound), strtree.EncodeKey(append(slices.Clip(bound), 0))}
+}
+
+// TestChooseSubtreeEquivalence: on random internal pages of the btree and
+// strtree extensions — overlapping, nested and equal bounding predicates,
+// dead slots, bodies of the wrong length and, for btree, the int64
+// extremes — the ordered choice of the insert descent is minPenaltySlot's
+// for every key drawn and every key at or next to a bound on the page, so
+// trees grow exactly as before.
+func TestChooseSubtreeEquivalence(t *testing.T) {
+	for _, ext := range []struct {
+		name string
+		ops  Ops
+		draw func(*rand.Rand) (key, rng func() []byte)
+		near func(bound []byte) [][]byte
+	}{
+		{"btree", btree.Ops{}, btreeDraw, btreeNear},
+		{"strtree", strtree.Ops{}, strtreeDraw, strtreeNear},
+	} {
+		rng := rand.New(rand.NewSource(2))
+		key, rngPred := ext.draw(rng)
+		ordered := 0
+		for i := 0; i < 50; i++ {
+			p := randomNode(rng, 1, rngPred)
+			var keys [][]byte
+			for j := 0; j < 20; j++ {
+				keys = append(keys, key())
+			}
+			for s := 0; s < p.NumSlots(); s++ {
+				if pred, ok := p.PredAt(s); ok && rng.Intn(16) == 0 {
+					lo, hi := ext.ops.(Intervals).Bounds(pred)
+					keys = append(keys, ext.near(lo)...)
+					keys = append(keys, ext.near(hi)...)
+				}
+			}
+			t.Run(fmt.Sprintf("%s/%d", ext.name, i), func(t *testing.T) {
+				ordered += checkChooseSubtree(t, ext.ops, p, keys)
+			})
+		}
+		if ordered == 0 {
+			t.Errorf("%s: no key was decided by the order", ext.name)
+		}
+	}
+}
+
+// FuzzChooseSubtree builds an internal btree page from an op stream —
+// ranges over a small domain with the int64 extremes, dead slots and
+// bodies of the wrong length — and requires the ordered choice to equal
+// minPenaltySlot for every key of the domain.
+func FuzzChooseSubtree(f *testing.F) {
+	f.Add([]byte{0, 10, 20, 0, 15, 30, 0, 0, 255, 1, 0, 0, 40, 40})
+	f.Add(bytes.Repeat([]byte{0, 100, 101, 0, 101, 100, 2, 3}, 40))
+	f.Add([]byte{0, 255, 255, 0, 0, 0, 0, 128, 128, 1, 1, 0, 1, 254})
+	f.Fuzz(checkChooseSubtreeOnStream)
+}
+
+// TestChooseSubtreeStreams runs FuzzChooseSubtree's check on random op
+// streams.
+func TestChooseSubtreeStreams(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for i := 0; i < 30; i++ {
+		data := make([]byte, rng.Intn(1500))
+		rng.Read(data)
+		for j := 0; j < len(data); j += 3 {
+			data[j] %= 4 // mostly entries
+		}
+		checkChooseSubtreeOnStream(t, data)
+	}
+}
+
+// streamPoint maps a byte to a point of the fuzz domain: the int64
+// extremes at the ends, small values in between.
+func streamPoint(b byte) int64 {
+	switch b {
+	case 0:
+		return math.MinInt64
+	case 255:
+		return math.MaxInt64
+	}
+	return int64(b) - 128
+}
+
+func checkChooseSubtreeOnStream(t *testing.T, data []byte) {
+	p := page.New(3, 1)
+	for in := data; len(in) >= 3; in = in[3:] {
+		switch in[0] % 4 {
+		case 0, 1: // an entry over [in[1], in[2]], bounds sorted
+			lo, hi := streamPoint(min(in[1], in[2])), streamPoint(max(in[1], in[2]))
+			e := page.Entry{Pred: btree.EncodeRange(lo, hi), Child: page.PageID(in[1])}
+			_, _ = p.InsertEntry(e)
+		case 2: // a body PredAt rejects
+			_, _ = p.InsertBytes(in[:3])
+		case 3: // kill a slot
+			if p.NumSlots() > 0 {
+				_ = p.KillSlot(int(in[1]) % p.NumSlots())
+			}
+		}
+	}
+	keys := make([][]byte, 256)
+	for b := range keys {
+		keys[b] = btree.EncodeKey(streamPoint(byte(b)))
+	}
+	checkChooseSubtree(t, btree.Ops{}, p, keys)
+}
+
+// TestChooseSubtreeOrders: the insert descent's choice searches only an
+// order of the view's page id and version, and the order its visit
+// builds is the page's own, even when the pooled scratch still holds
+// bounds another visit kept for a build it never made.
+func TestChooseSubtreeOrders(t *testing.T) {
+	// Slot i > 0 of a and b holds [10i, 10i+9]; slot 0 holds [2000, 3000]
+	// on a and [0, 1000] on b. a's order, searched on b, finds slot 12
+	// for key 123 and misses slot 0, the first entry containing it.
+	a, b := page.New(7, 1), page.New(8, 1)
+	for i := int64(0); i < 50; i++ {
+		for _, e := range []struct {
+			p      *page.Page
+			lo, hi int64
+		}{{a, 10 * i, 10*i + 9}, {b, 10 * i, 10*i + 9}} {
+			if i == 0 {
+				e.lo, e.hi = 2000, 3000
+				if e.p == b {
+					e.lo, e.hi = 0, 1000
+				}
+			}
+			if _, err := e.p.InsertEntry(page.Entry{Pred: btree.EncodeRange(e.lo, e.hi), Child: page.PageID(100 + i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	o := orderOp(btree.Ops{})
+	defer o.exit()
+	key := btree.EncodeKey(123)
+	want, _ := o.t.minPenaltySlot(b, key)
+	f := new(buffer.Frame)
+	f.Order.Store(o.buildOrder(&nodeView{f: f, p: a, id: a.ID(), ver: 2}))
+	if got, _ := o.chooseSubtree(&nodeView{f: f, p: b, id: a.ID(), ver: 2}, key); got == want {
+		t.Fatal("setup: searching a's order on b finds b's answer; the checks below would prove nothing")
+	}
+	for _, w := range []nodeView{{f: f, p: b, id: b.ID(), ver: 2}, {f: f, p: b, id: a.ID(), ver: 4}} {
+		if got, _ := o.chooseSubtree(&w, key); got != want {
+			t.Fatalf("view of page %d at version %d chose slot %d, want %d (a stale order was searched)", w.id, w.ver, got, want)
+		}
+	}
+
+	// A visit of a that keeps its bounds for a build it does not make
+	// leaves them in the scratch; b's descent visits then stamp and build.
+	due := new(buffer.SlotOrder)
+	due.Seen.Store(2)
+	fa := new(buffer.Frame)
+	fa.Order.Store(due)
+	o.matches(&nodeView{f: fa, p: a, id: a.ID(), ver: 2}, btree.EncodeRange(0, 1000))
+	if !o.scratch().kept {
+		t.Fatal("setup: the visit of a kept no bounds")
+	}
+	fb := new(buffer.Frame)
+	vb := nodeView{f: fb, p: b, id: b.ID(), ver: 2}
+	for range 2 {
+		o.chooseSubtree(&vb, key)
+		o.learnOrder(&vb)
+	}
+	got, ref := fb.Order.Load(), o.buildOrder(&vb)
+	if got.ID != b.ID() || !slices.Equal(got.Slots, ref.Slots) || !slices.Equal(got.MaxHi, ref.MaxHi) {
+		t.Fatalf("order built by b's descent: page %d, %v/%v; b's order %v/%v", got.ID, got.Slots, got.MaxHi, ref.Slots, ref.MaxHi)
+	}
+}

@@ -8,21 +8,23 @@ import (
 	"repro/internal/wal"
 )
 
-// TouchesPage reports whether restart redo of r must be applied to pg.
-// Split records touch two pages; everything else touches r.Pg only.
-func TouchesPage(r *wal.Record, pg page.PageID) bool {
+// Pages lists the pages whose images Redo of the tree record r changes, in
+// the order redo applies it to them, or nil when r is not a tree record. A
+// Split changes both of its pages and its CLR the original node only;
+// every other tree record changes r.Pg.
+func Pages(r *wal.Record) []page.PageID {
 	switch r.Type.Base() {
 	case wal.RecSplit:
 		if r.Type.IsCLR() {
-			return pg == r.Pg
+			return []page.PageID{r.Pg}
 		}
-		return pg == r.Pg || pg == r.Pg2
+		return []page.PageID{r.Pg, r.Pg2}
 	case wal.RecParentEntryUpdate, wal.RecInternalEntryAdd, wal.RecInternalEntryUpdate,
 		wal.RecInternalEntryDelete, wal.RecAddLeafEntry, wal.RecMarkLeafEntry,
 		wal.RecGarbageCollection, wal.RecGetPage, wal.RecFreePage, wal.RecRootChange:
-		return pg == r.Pg
+		return []page.PageID{r.Pg}
 	default:
-		return false
+		return nil
 	}
 }
 

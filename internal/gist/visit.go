@@ -271,9 +271,9 @@ func (o *op) orderedMatches(p *page.Page, ord *buffer.SlotOrder, query []byte, h
 	return true
 }
 
-// learnOrder runs when a visit that called matches has ended with its
-// final valid() holding, so a copy view's copy is the page's image at
-// v.ver. The first such visit at a version finds no current order and
+// learnOrder runs when a visit that called matches, or the insert
+// descent's chooseSubtree, has ended with its final valid() holding, so a
+// copy view's copy is the page's image at v.ver. The first such visit at a version finds no current order and
 // only stamps the version on the frame; the second builds the order from
 // its copy and publishes it, and later visits at that version search it.
 // Nothing is built inside a visit's optimistic window or under a latch (a
@@ -534,8 +534,8 @@ func (c *Cursor) visitLeaf(v *nodeView, se stackEntry) (done bool, err error) {
 	for w, word := range o.matches(v, c.query) {
 		for ; word != 0; word &= word - 1 {
 			i := w<<6 | bits.TrailingZeros64(word)
-			rid, deleted := p.LeafAt(i)
-			if c.seen[rid] {
+			key, rid, deleted, ok := p.LeafAt(i)
+			if !ok || c.seen[rid] {
 				continue
 			}
 			if !o.lockResult(rid, deleted, c.iso) {
@@ -561,7 +561,6 @@ func (c *Cursor) visitLeaf(v *nodeView, se stackEntry) (done bool, err error) {
 			if deleted {
 				continue
 			}
-			key, _ := p.PredAt(i)
 			c.pending = append(c.pending, SearchResult{Key: append([]byte(nil), key...), RID: rid})
 			c.seen[rid] = true
 		}
@@ -591,12 +590,15 @@ func (c *Cursor) rollback(base int) {
 
 // descend is the internal-node step of the insert descent (Figure 4's
 // locateLeaf): it picks the minimal-penalty child of the internal node
-// cached in the pinned frame f. A node that split after its pointer was
-// read sends the step to the latched bestInChain walk, which may settle on
-// another node of the rightlink chain. It returns the frame of the node
-// whose entry it followed, still pinned, with the counter memorized for
-// the child.
-func (o *op) descend(f *buffer.Frame, pg page.PageID, curNSN page.LSN, key []byte) (at *buffer.Frame, slot int, child page.PageID, next page.LSN, err error) {
+// cached in the pinned frame f (chooseSubtree). A node that split after
+// its pointer was read sends the step to the latched bestInChain walk,
+// which may settle on another node of the rightlink chain. It returns the
+// path entry of the node whose entry it followed, still pinned, the child
+// and the counter memorized for it. At the leaf's parent the entry also
+// records whether the followed entry already covers key, and the view's
+// version, so that phase 4 can leave an unchanged parent unlatched (see
+// coveredParent).
+func (o *op) descend(f *buffer.Frame, pg page.PageID, curNSN page.LSN, key []byte) (pe pathEntry, child page.PageID, next page.LSN, err error) {
 	t := o.t
 	for attempt := 0; ; attempt++ {
 		v, ok := o.openView(f, pg, attempt)
@@ -611,24 +613,60 @@ func (o *op) descend(f *buffer.Frame, pg page.PageID, curNSN page.LSN, key []byt
 			}
 			best, err := o.bestInChain(f, latch.S, curNSN, key)
 			if err != nil {
-				return nil, 0, 0, 0, err
+				return pathEntry{}, 0, 0, err
 			}
-			v = nodeView{f: best, p: &best.Page, ctr: t.counter(), latched: true}
+			ver, _ := best.Latch.TryOptimistic() // no X holder while S is held
+			v = nodeView{f: best, p: &best.Page, id: best.ID(), ver: ver, ctr: t.counter(), latched: true}
 		}
-		slot = t.minPenaltySlot(v.p, key)
+		slot, zero := o.chooseSubtree(&v, key)
+		covered := false
 		if slot >= 0 {
-			child = v.p.ChildAt(slot)
-			next = v.ctr
+			child, next = v.p.ChildAt(slot), v.ctr
+			if zero && v.p.Level() == 1 {
+				pred, _ := v.p.PredAt(slot)
+				covered = bytes.Equal(t.ops.Union(pred, key), pred)
+			}
 		}
 		if !v.valid() {
 			o.optRestarts++
 			continue
 		}
+		o.learnOrder(&v)
 		o.closeView(&v)
 		if slot < 0 {
 			t.pool.Unpin(v.f, false, 0)
-			return nil, 0, 0, 0, fmt.Errorf("gist: internal node %d has no entries", v.f.ID())
+			return pathEntry{}, 0, 0, fmt.Errorf("gist: internal node %d has no entries", v.f.ID())
 		}
-		return v.f, slot, child, next, nil
+		return pathEntry{pg: v.f.ID(), f: v.f, slot: slot, child: child, ver: v.ver, covered: covered}, child, next, nil
 	}
+}
+
+// chooseSubtree returns the slot of v's entry that the insert descent
+// follows for key — the first entry of minimal Penalty, as minPenaltySlot
+// finds it — and whether that penalty is 0. With an Intervals extension,
+// a point key and a current order on the frame, it searches the order
+// with the key as the query: by the Intervals contract the penalty-0
+// entries are exactly the ones whose bounds contain the key, so the
+// lowest slot the ordered walk reports is the first of them. When no
+// entry contains the key the descent is about to widen one, and it walks
+// every slot.
+func (o *op) chooseSubtree(v *nodeView, key []byte) (slot int, zero bool) {
+	sc := o.scratch()
+	sc.kept = false // this visit keeps no bounds for learnOrder
+	if iv := o.t.iv; iv != nil {
+		ord := v.f.Order.Load()
+		if lo, hi := iv.Bounds(key); ord != nil && ord.ID == v.id && ord.Ver == v.ver && bytes.Equal(lo, hi) {
+			hits := sc.hits[:(min(v.p.NumSlots(), maxSlots)+63)/64]
+			clear(hits)
+			if o.orderedMatches(v.p, ord, key, hits) {
+				for w, word := range hits {
+					if word != 0 {
+						return w<<6 | bits.TrailingZeros64(word), true
+					}
+				}
+			}
+		}
+	}
+	slot, pen := o.t.minPenaltySlot(v.p, key)
+	return slot, pen == 0
 }

@@ -201,25 +201,32 @@ func (p *Page) Entries() []Entry {
 
 // Slot views. A node visit reads each slot's fields straight off the page
 // instead of decoding an Entry per slot: PredAt validates the slot exactly
-// as DecodeEntry does and returns the predicate bytes aliasing the page;
-// ChildAt, LeafAt and DeleterAt read the fixed-size fields that follow the
-// predicate and are meaningful only for a slot PredAt accepted. None of
-// them panics, whatever the page image holds.
+// as DecodeEntry does and returns the predicate bytes aliasing the page,
+// and LeafAt does the same for a leaf slot together with its RID and
+// delete mark; ChildAt and DeleterAt read the fixed-size fields that
+// follow the predicate and are meaningful only for a slot PredAt
+// accepted. None of them panics, whatever the page image holds.
 
 // PredAt returns the predicate (internal node) or key (leaf) of slot i,
 // aliasing page memory. ok is false for an out-of-range or dead slot and for
 // a body DecodeEntry would reject.
 func (p *Page) PredAt(i int) (pred []byte, ok bool) {
-	b := p.body(i)
+	overhead := internalOverhead
+	if p.IsLeaf() {
+		overhead = leafOverhead
+	}
+	return predOf(p.body(i), overhead)
+}
+
+// predOf returns the predicate of the entry body b, whose fixed fields
+// take overhead bytes, or ok=false when b's length does not match the
+// predicate length it records.
+func predOf(b []byte, overhead int) (pred []byte, ok bool) {
 	if len(b) < 3 {
 		return nil, false
 	}
 	plen := int(binary.BigEndian.Uint16(b[1:]))
-	want := internalOverhead + plen
-	if p.IsLeaf() {
-		want = leafOverhead + plen
-	}
-	if len(b) != want {
+	if len(b) != overhead+plen {
 		return nil, false
 	}
 	return b[3 : 3+plen], true
@@ -235,15 +242,16 @@ func (p *Page) ChildAt(i int) PageID {
 	return PageID(binary.BigEndian.Uint32(b[len(b)-4:]))
 }
 
-// LeafAt returns the RID and the logical-delete mark of leaf slot i.
-func (p *Page) LeafAt(i int) (rid RID, deleted bool) {
+// LeafAt returns the key, the RID and the logical-delete mark of leaf slot
+// i, the key aliasing page memory. ok is false where PredAt's is.
+func (p *Page) LeafAt(i int) (key []byte, rid RID, deleted, ok bool) {
 	b := p.body(i)
-	if len(b) < leafOverhead {
-		return RID{}, false
+	if key, ok = predOf(b, leafOverhead); !ok || !p.IsLeaf() {
+		return nil, RID{}, false, false
 	}
 	r := b[len(b)-14:]
 	rid = RID{Page: PageID(binary.BigEndian.Uint32(r)), Slot: binary.BigEndian.Uint16(r[4:])}
-	return rid, b[0]&entryDeleted != 0
+	return key, rid, b[0]&entryDeleted != 0, true
 }
 
 // DeleterAt returns the transaction recorded as the logical deleter of leaf
@@ -285,11 +293,7 @@ func (p *Page) FindChild(child PageID) int {
 // carry the same RID (the live entries still partition the RID space).
 func (p *Page) FindEntry(rid RID, pred []byte, deleted bool) int {
 	for i := 0; i < p.NumSlots(); i++ {
-		key, ok := p.PredAt(i)
-		if !ok {
-			continue
-		}
-		if r, d := p.LeafAt(i); r == rid && d == deleted && bytes.Equal(key, pred) {
+		if key, r, d, ok := p.LeafAt(i); ok && r == rid && d == deleted && bytes.Equal(key, pred) {
 			return i
 		}
 	}
@@ -301,10 +305,7 @@ func (p *Page) FindEntry(rid RID, pred []byte, deleted bool) int {
 // may coexist with a reused RID.
 func (p *Page) FindRID(rid RID) int {
 	for i := 0; i < p.NumSlots(); i++ {
-		if _, ok := p.PredAt(i); !ok {
-			continue
-		}
-		if r, _ := p.LeafAt(i); r == rid {
+		if _, r, _, ok := p.LeafAt(i); ok && r == rid {
 			return i
 		}
 	}

@@ -30,13 +30,15 @@ func checkViewsMatchDecode(t *testing.T, p *Page) {
 			t.Fatalf("slot %d: PredAt = %x, DecodeEntry.Pred = %x (must alias the same bytes)", i, pred, e.Pred)
 		}
 		if leaf {
-			rid, deleted := p.LeafAt(i)
-			if rid != e.RID || deleted != e.Deleted || p.DeleterAt(i) != e.Deleter {
-				t.Fatalf("slot %d: LeafAt = %v %v deleter %d, DecodeEntry = %v %v deleter %d",
-					i, rid, deleted, p.DeleterAt(i), e.RID, e.Deleted, e.Deleter)
+			key, rid, deleted, ok := p.LeafAt(i)
+			if !ok || !bytes.Equal(key, pred) || (len(key) > 0 && &key[0] != &pred[0]) || rid != e.RID || deleted != e.Deleted || p.DeleterAt(i) != e.Deleter {
+				t.Fatalf("slot %d: LeafAt = %x %v %v %v deleter %d, DecodeEntry = %x %v %v deleter %d",
+					i, key, rid, deleted, ok, p.DeleterAt(i), e.Pred, e.RID, e.Deleted, e.Deleter)
 			}
 		} else if c := p.ChildAt(i); c != e.Child {
 			t.Fatalf("slot %d: ChildAt = %d, DecodeEntry.Child = %d", i, c, e.Child)
+		} else if _, _, _, ok := p.LeafAt(i); ok {
+			t.Fatalf("slot %d: LeafAt accepts a slot of an internal node", i)
 		}
 	}
 	if leaf {
@@ -95,9 +97,9 @@ func TestSlotViewsLeaf(t *testing.T) {
 		if !ok || !bytes.Equal(pred, e.Pred) {
 			t.Fatalf("PredAt(%d) = %q %v, want %q", i, pred, ok, e.Pred)
 		}
-		rid, deleted := p.LeafAt(i)
-		if rid != e.RID || deleted != (i == 2) {
-			t.Fatalf("LeafAt(%d) = %v %v", i, rid, deleted)
+		key, rid, deleted, ok := p.LeafAt(i)
+		if !ok || !bytes.Equal(key, e.Pred) || rid != e.RID || deleted != (i == 2) {
+			t.Fatalf("LeafAt(%d) = %q %v %v %v", i, key, rid, deleted, ok)
 		}
 	}
 	if d := p.DeleterAt(2); d != 42 {

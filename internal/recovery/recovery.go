@@ -448,23 +448,14 @@ func (p *redoPlan) heapPages() []page.PageID {
 	return pgs
 }
 
-// touchedPages lists the pages whose images a record's redo modifies.
+// touchedPages lists the pages whose images a record's redo modifies: a
+// heap record's page, or the tree record's pages as gist.Pages lists them.
 func touchedPages(rec *wal.Record) []page.PageID {
-	base := rec.Type.Base()
-	switch base {
-	case wal.RecSplit:
-		if rec.Type.IsCLR() {
-			return []page.PageID{rec.Pg}
-		}
-		return []page.PageID{rec.Pg, rec.Pg2}
-	case wal.RecParentEntryUpdate, wal.RecInternalEntryAdd, wal.RecInternalEntryUpdate,
-		wal.RecInternalEntryDelete, wal.RecAddLeafEntry, wal.RecMarkLeafEntry,
-		wal.RecGarbageCollection, wal.RecGetPage, wal.RecFreePage, wal.RecRootChange,
-		wal.RecHeapInsert, wal.RecHeapDelete:
+	switch rec.Type.Base() {
+	case wal.RecHeapInsert, wal.RecHeapDelete:
 		return []page.PageID{rec.Pg}
-	default:
-		return nil
 	}
+	return gist.Pages(rec)
 }
 
 // redo repeats history from the redo point. Redo is page-independent — a
@@ -699,7 +690,7 @@ func (r *Recovery) redoOnPage(rec *wal.Record, pg page.PageID, st *Stats) error 
 	case wal.RecHeapInsert, wal.RecHeapDelete:
 		err = heap.Redo(rec, &f.Page)
 	default:
-		err = redoTreeOnPage(rec, &f.Page, pg)
+		err = gist.Redo(rec, &f.Page, pg)
 	}
 	f.Latch.Release(latch.X)
 	r.Pool.Unpin(f, err == nil, rec.LSN)
@@ -723,16 +714,6 @@ func (r *Recovery) deallocate(pg page.PageID) error {
 		}
 		runtime.Gosched()
 	}
-}
-
-// redoTreeOnPage applies a tree record to one of its pages. For a Split the
-// same record is applied separately to each side; gist.Redo dispatches on
-// the page id.
-func redoTreeOnPage(rec *wal.Record, p *page.Page, pg page.PageID) error {
-	if !gist.TouchesPage(rec, pg) {
-		return nil
-	}
-	return gist.Redo(rec, p, pg)
 }
 
 // undo rolls back every loser transaction through the registered undo

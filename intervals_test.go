@@ -10,9 +10,10 @@ import (
 	"repro/internal/rtree"
 )
 
-// countedOps counts the predicates a search reads through an extension:
-// every Consistent call, plus every Bounds call when the wrapped
-// extension has the Intervals capability (countedIntervals forwards it).
+// countedOps counts the predicates an operation reads through an
+// extension: every Consistent and Penalty call, plus every Bounds call
+// when the wrapped extension has the Intervals capability
+// (countedIntervals forwards it).
 type countedOps struct {
 	gistdb.Ops
 	reads *atomic.Int64
@@ -21,6 +22,11 @@ type countedOps struct {
 func (o countedOps) Consistent(pred, query []byte) bool {
 	o.reads.Add(1)
 	return o.Ops.Consistent(pred, query)
+}
+
+func (o countedOps) Penalty(pred, key []byte) float64 {
+	o.reads.Add(1)
+	return o.Ops.Penalty(pred, key)
 }
 
 type countedIntervals struct{ countedOps }
@@ -37,30 +43,10 @@ func (o countedIntervals) Bounds(pred []byte) (lo, hi []byte) {
 // R-tree, whose extension has no Intervals capability, keeps reading
 // every entry of every visited node.
 func TestPointSearchReadsFewPredicates(t *testing.T) {
-	db, err := gistdb.Open(gistdb.Options{PoolPages: 8192})
-	if err != nil {
-		t.Fatal(err)
-	}
+	db, idx, reads := countedKeys(t, 100_000)
 	defer db.Close()
-	var reads atomic.Int64
-	idx, err := db.CreateIndex("keys", countedIntervals{countedOps{btree.Ops{}, &reads}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rng := rand.New(rand.NewSource(2))
 	const n = 100_000
-	rng := rand.New(rand.NewSource(1))
-	keys := rng.Perm(n)
-	for lo := 0; lo < n; lo += 1000 {
-		tx, _ := db.Begin()
-		for _, k := range keys[lo : lo+1000] {
-			if _, err := idx.Insert(tx, btree.EncodeKey(int64(k)), []byte("r")); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := tx.Commit(); err != nil {
-			t.Fatal(err)
-		}
-	}
 	search := func(ix *gistdb.Index, q []byte, want int) int64 {
 		t.Helper()
 		tx, _ := db.Begin()
@@ -72,7 +58,7 @@ func TestPointSearchReadsFewPredicates(t *testing.T) {
 		}
 		return reads.Load()
 	}
-	for _, k := range []int64{0, 4242, 77777, n - 1} {
+	for _, k := range probeKeys {
 		q := btree.EncodeRange(k, k)
 		walk := search(idx, q, 1)
 		search(idx, q, 1)
@@ -83,7 +69,7 @@ func TestPointSearchReadsFewPredicates(t *testing.T) {
 		}
 	}
 
-	win, err := db.CreateIndex("pts", countedOps{rtree.Ops{}, &reads})
+	win, err := db.CreateIndex("pts", countedOps{rtree.Ops{}, reads})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,4 +96,68 @@ func TestPointSearchReadsFewPredicates(t *testing.T) {
 		}
 	}
 	t.Logf("rtree window: %d Consistent calls per search", first)
+}
+
+// probeKeys are the keys the count tests probe on a countedKeys tree: its
+// two ends and two keys inside.
+var probeKeys = []int64{0, 4242, 77777, 99_999}
+
+// countedKeys opens an in-memory database with a btree index of the keys
+// 0..n-1, inserted in random order in transactions of 1000, whose
+// predicate reads go to the returned counter.
+func countedKeys(t *testing.T, n int) (*gistdb.DB, *gistdb.Index, *atomic.Int64) {
+	t.Helper()
+	db, err := gistdb.Open(gistdb.Options{PoolPages: 8192})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads := new(atomic.Int64)
+	idx, err := db.CreateIndex("keys", countedIntervals{countedOps{btree.Ops{}, reads}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := rand.New(rand.NewSource(1)).Perm(n)
+	for lo := 0; lo < n; lo += 1000 {
+		tx, _ := db.Begin()
+		for _, k := range keys[lo:min(lo+1000, n)] {
+			if _, err := idx.Insert(tx, btree.EncodeKey(int64(k)), []byte("r")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return db, idx, reads
+}
+
+// TestInsertDescentReadsFewPredicates pins the ordered choose-subtree on a
+// 100k-key btree loaded in random order. An insert's descent reads
+// Penalty on every entry of a node it has no current order for; its
+// second visit at a node's version builds the order, and from then on an
+// insert whose key a node's entry contains reads a few predicates there.
+// Inserting a key again (the index is not unique) leaves every node above
+// the leaf unchanged, so the third insert of a key is warm.
+func TestInsertDescentReadsFewPredicates(t *testing.T) {
+	db, idx, reads := countedKeys(t, 100_000)
+	defer db.Close()
+	insert := func(k int64) int64 {
+		t.Helper()
+		tx, _ := db.Begin()
+		defer tx.Commit()
+		reads.Store(0)
+		if _, err := idx.Insert(tx, btree.EncodeKey(k), []byte("again")); err != nil {
+			t.Fatal(err)
+		}
+		return reads.Load()
+	}
+	for _, k := range probeKeys {
+		first := insert(k)
+		insert(k)
+		warm := insert(k)
+		t.Logf("insert %d: %d predicates on the first insert, %d on the third", k, first, warm)
+		if warm > 40 {
+			t.Errorf("insert %d: warm descent read %d predicates, want at most 40 (first: %d)", k, warm, first)
+		}
+	}
 }
