@@ -4,6 +4,9 @@
 // intersection. This is the canonical non-linear, non-partitioning key
 // domain for which the paper's NSN-based link protocol was designed —
 // key-range locking and B-link ordering arguments are inapplicable here.
+// Insertion follows Guttman's least-enlargement Penalty; nodes split by the
+// R*-tree's topological split, which sets how much sibling MBRs overlap and
+// so how many paths a window search follows.
 //
 // Encodings (canonical, so byte equality of predicates is sound):
 //
@@ -14,9 +17,11 @@
 package rtree
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Rect is an axis-aligned rectangle (closed on all sides).
@@ -55,6 +60,19 @@ func (r Rect) Area() float64 { return (r.XMax - r.XMin) * (r.YMax - r.YMin) }
 
 // Enlargement returns how much r's area grows to accommodate o.
 func (r Rect) Enlargement(o Rect) float64 { return r.Union(o).Area() - r.Area() }
+
+// margin returns half the rectangle's perimeter.
+func (r Rect) margin() float64 { return (r.XMax - r.XMin) + (r.YMax - r.YMin) }
+
+// overlap returns the area r and o share.
+func (r Rect) overlap(o Rect) float64 {
+	w := math.Min(r.XMax, o.XMax) - math.Max(r.XMin, o.XMin)
+	h := math.Min(r.YMax, o.YMax) - math.Max(r.YMin, o.YMin)
+	if w <= 0 || h <= 0 {
+		return 0
+	}
+	return w * h
+}
 
 // String implements fmt.Stringer.
 func (r Rect) String() string {
@@ -125,7 +143,7 @@ func AsRect(b []byte) Rect {
 	}
 }
 
-// Ops implements gist.Ops for 2-D R-trees with Guttman's quadratic split.
+// Ops implements gist.Ops for 2-D R-trees with the R*-tree split.
 type Ops struct{}
 
 // Consistent reports rectangle intersection.
@@ -151,9 +169,15 @@ func (Ops) Penalty(bp, key []byte) float64 {
 	return r.Enlargement(AsRect(key)) + 1e-9*r.Area()
 }
 
-// PickSplit implements Guttman's quadratic split: pick the pair of entries
-// whose combined MBR wastes the most area as seeds, then assign each
-// remaining entry to the group whose MBR it enlarges least.
+// PickSplit is the R*-tree's topological split (Beckmann, Kriegel,
+// Schneider & Seeger, SIGMOD 1990). For each axis it sorts the entries by
+// lower and then by upper coordinate and considers every distribution of
+// each order into a prefix and a suffix of at least max(1, ⌊2n/5⌋)
+// entries. It splits on the axis whose distributions have the least total
+// margin, at that axis's distribution whose two MBRs overlap least (ties:
+// least total area). Sorting uses the predicates' order-preserving
+// encodings, a total order even over ±0, ±Inf and NaN; each distribution's
+// MBRs come from prefix and suffix unions, so the split is O(n log n).
 func (Ops) PickSplit(preds [][]byte) []int {
 	n := len(preds)
 	if n < 2 {
@@ -161,51 +185,74 @@ func (Ops) PickSplit(preds [][]byte) []int {
 		// and will reject this, but avoid an index panic here.
 		return []int{0}
 	}
+	minFill := max(1, 2*n/5)
 	rects := make([]Rect, n)
 	for i, p := range preds {
 		rects[i] = AsRect(p)
 	}
-	// Seeds: most wasteful pair.
-	seedA, seedB := 0, 1
-	worst := math.Inf(-1)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			d := rects[i].Union(rects[j]).Area() - rects[i].Area() - rects[j].Area()
-			if d > worst {
-				worst, seedA, seedB = d, i, j
+	type distribution struct {
+		axis  int
+		upper bool
+		k     int // entries that stay: the first k of the sort
+	}
+	idx := make([]int, n)
+	pre, suf := make([]Rect, n), make([]Rect, n)
+	var best distribution
+	var bestMargin float64
+	for axis := 0; axis < 2; axis++ {
+		var axisBest distribution
+		var margin, overlap, area float64
+		for _, upper := range []bool{false, true} {
+			sortByCoord(idx, preds, axis, upper)
+			pre[0], suf[n-1] = rects[idx[0]], rects[idx[n-1]]
+			for i := 1; i < n; i++ {
+				pre[i] = pre[i-1].Union(rects[idx[i]])
+				suf[n-1-i] = suf[n-i].Union(rects[idx[n-1-i]])
+			}
+			for k := minFill; k <= n-minFill; k++ {
+				a, b := pre[k-1], suf[k]
+				margin += a.margin() + b.margin()
+				ov, ar := a.overlap(b), a.Area()+b.Area()
+				if axisBest.k == 0 || ov < overlap || ov == overlap && ar < area {
+					axisBest, overlap, area = distribution{axis, upper, k}, ov, ar
+				}
 			}
 		}
-	}
-	groupA := []int{seedA}
-	groupB := []int{seedB}
-	mbrA, mbrB := rects[seedA], rects[seedB]
-	half := (n + 1) / 2
-	for i := 0; i < n; i++ {
-		if i == seedA || i == seedB {
-			continue
-		}
-		// Force balance once a group must absorb the rest.
-		switch {
-		case len(groupA) >= half:
-			groupB = append(groupB, i)
-			mbrB = mbrB.Union(rects[i])
-			continue
-		case len(groupB) >= half:
-			groupA = append(groupA, i)
-			mbrA = mbrA.Union(rects[i])
-			continue
-		}
-		da := mbrA.Enlargement(rects[i])
-		db := mbrB.Enlargement(rects[i])
-		if da < db || (da == db && mbrA.Area() <= mbrB.Area()) {
-			groupA = append(groupA, i)
-			mbrA = mbrA.Union(rects[i])
-		} else {
-			groupB = append(groupB, i)
-			mbrB = mbrB.Union(rects[i])
+		if axis == 0 || margin < bestMargin {
+			best, bestMargin = axisBest, margin
 		}
 	}
-	return groupA
+	sortByCoord(idx, preds, best.axis, best.upper)
+	return idx[:best.k]
+}
+
+// sortByCoord sets idx to the permutation of preds ordered by their lower
+// (or, if upper, upper) encoded coordinate on axis (0 is x, 1 is y), then
+// by the other bound, then by position, so a split is the same on every
+// call.
+func sortByCoord(idx []int, preds [][]byte, axis int, upper bool) {
+	for i := range idx {
+		idx[i] = i
+	}
+	slices.SortFunc(idx, func(i, j int) int {
+		if c := cmp.Compare(coord(preds[i], axis, upper), coord(preds[j], axis, upper)); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(coord(preds[i], axis, !upper), coord(preds[j], axis, !upper)); c != 0 {
+			return c
+		}
+		return i - j
+	})
+}
+
+// coord reads a predicate's order-preserving encoding of its lower or upper
+// bound on axis; a point's two bounds are the same.
+func coord(pred []byte, axis int, upper bool) uint64 {
+	off := 8 * axis
+	if upper && len(pred) == 32 {
+		off += 16
+	}
+	return binary.BigEndian.Uint64(pred[off:])
 }
 
 // KeyQuery returns a query matching exactly the given key (the key's own

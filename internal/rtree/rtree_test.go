@@ -3,6 +3,8 @@ package rtree
 import (
 	"bytes"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -211,4 +213,138 @@ func TestNoIntervals(t *testing.T) {
 	if _, ok := any(Ops{}).(gist.Intervals); ok {
 		t.Fatal("rtree.Ops implements gist.Intervals")
 	}
+}
+
+// checkSplit fails t unless PickSplit(preds) keeps a duplicate-free set of
+// in-range indices with at least max(1, ⌊2n/5⌋) entries on each side, and
+// gives the same answer when called again.
+func checkSplit(t *testing.T, preds [][]byte) []int {
+	t.Helper()
+	var ops Ops
+	n := len(preds)
+	stay := ops.PickSplit(preds)
+	minFill := max(1, 2*n/5)
+	if len(stay) < minFill || n-len(stay) < minFill {
+		t.Fatalf("split of %d keeps %d, want each side at least %d", n, len(stay), minFill)
+	}
+	seen := make([]bool, n)
+	for _, i := range stay {
+		if i < 0 || i >= n || seen[i] {
+			t.Fatalf("split of %d keeps index %d twice or out of range: %v", n, i, stay)
+		}
+		seen[i] = true
+	}
+	if again := ops.PickSplit(preds); !slices.Equal(again, stay) {
+		t.Fatalf("split of %d: second call kept %v, first %v", n, again, stay)
+	}
+	return stay
+}
+
+// splitInputs returns n predicates drawn by rng: points and rects mixed,
+// every fourth a duplicate of an earlier one, with coordinates taken from
+// vals when it is non-empty and uniform in [0,1000) otherwise.
+func splitInputs(rng *rand.Rand, n int, vals []float64) [][]byte {
+	coord := func() float64 {
+		if len(vals) > 0 {
+			return vals[rng.Intn(len(vals))]
+		}
+		return rng.Float64() * 1000
+	}
+	preds := make([][]byte, n)
+	for i := range preds {
+		switch {
+		case i > 0 && i%4 == 0:
+			preds[i] = preds[rng.Intn(i)]
+		case rng.Intn(3) == 0:
+			x, y := coord(), coord()
+			w, h := coord(), coord()
+			preds[i] = EncodeRect(Rect{math.Min(x, w), math.Min(y, h), math.Max(x, w), math.Max(y, h)})
+		default:
+			preds[i] = EncodePoint(coord(), coord())
+		}
+	}
+	return preds
+}
+
+func TestPickSplitProperties(t *testing.T) {
+	inf := math.Inf(1)
+	negZero := math.Copysign(0, -1)
+	for _, c := range []struct {
+		name string
+		vals []float64
+	}{
+		{"uniform", nil},
+		{"signed-zeros", []float64{0, negZero, 1, -1}},
+		{"infinities", []float64{-inf, inf, 0, 5}},
+		{"huge", []float64{-1e300, 1e300, -math.MaxFloat64, math.MaxFloat64, 1}},
+		{"duplicates", []float64{7}},
+		{"nan", []float64{math.NaN(), 0, 1}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(1))
+			for _, n := range []int{2, 3, 4, 5, 9, 10, 31, 147, 400} {
+				checkSplit(t, splitInputs(rng, n, c.vals))
+			}
+		})
+	}
+}
+
+// TestPickSplitSeparatesStrips: two horizontal strips far apart, 60
+// points in one and 40 in the other, in shuffled slot order. Cutting the
+// y order between the strips gives two MBRs with no overlap and the least
+// area, and keeps 40% on a side. A split that forces both groups to half
+// the entries must mix the strips.
+func TestPickSplitSeparatesStrips(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var preds [][]byte
+	for i := 0; i < 100; i++ {
+		y := rng.Float64()
+		if i >= 60 {
+			y += 100
+		}
+		preds = append(preds, EncodePoint(rng.Float64()*10, y))
+	}
+	rng.Shuffle(len(preds), func(i, j int) { preds[i], preds[j] = preds[j], preds[i] })
+	var low, high int
+	for _, i := range checkSplit(t, preds) {
+		if _, y := DecodePoint(preds[i]); y < 100 {
+			low++
+		} else {
+			high++
+		}
+	}
+	if !(low == 60 && high == 0 || low == 0 && high == 40) {
+		t.Errorf("split kept %d low-strip and %d high-strip points together, want one whole strip", low, high)
+	}
+}
+
+// FuzzPickSplit holds PickSplit to checkSplit's properties on arbitrary
+// predicates: each entry is a kind byte (odd: rect, even: point) then its
+// encoded coordinates, any 8 bytes of which decode to some float64.
+func FuzzPickSplit(f *testing.F) {
+	f.Add(append(EncodePoint(1, 2), append([]byte{1}, EncodeRect(Rect{0, 0, 3, 3})...)...))
+	var seed []byte
+	for _, v := range []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), 1e300, -1e300, math.NaN()} {
+		seed = append(append(seed, 0), EncodePoint(v, -v)...)
+		seed = append(append(seed, 1), EncodeRect(Rect{v, v, 1, 1})...)
+	}
+	f.Add(seed)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var preds [][]byte
+		for len(data) > 0 && len(preds) < 400 {
+			size := 16
+			if data[0]%2 == 1 {
+				size = 32
+			}
+			if len(data) < 1+size {
+				break
+			}
+			preds = append(preds, data[1:1+size])
+			data = data[1+size:]
+		}
+		if len(preds) < 2 {
+			return
+		}
+		checkSplit(t, preds)
+	})
 }

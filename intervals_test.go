@@ -1,6 +1,7 @@
 package gistdb_test
 
 import (
+	"math"
 	"math/rand"
 	"sync/atomic"
 	"testing"
@@ -41,7 +42,8 @@ func (o countedIntervals) Bounds(pred []byte) (lo, hi []byte) {
 // at a page version walk every slot (the second builds the order); from
 // the third on, a warm point search reads a few predicates per node. An
 // R-tree, whose extension has no Intervals capability, keeps reading
-// every entry of every visited node.
+// every entry of every visited node, and its split keeps a small window
+// to a few leaves.
 func TestPointSearchReadsFewPredicates(t *testing.T) {
 	db, idx, reads := countedKeys(t, 100_000)
 	defer db.Close()
@@ -96,6 +98,9 @@ func TestPointSearchReadsFewPredicates(t *testing.T) {
 		}
 	}
 	t.Logf("rtree window: %d Consistent calls per search", first)
+	if first > 400 {
+		t.Errorf("rtree window: %d Consistent calls per search, want at most 400", first)
+	}
 }
 
 // probeKeys are the keys the count tests probe on a countedKeys tree: its
@@ -159,5 +164,90 @@ func TestInsertDescentReadsFewPredicates(t *testing.T) {
 		if warm > 40 {
 			t.Errorf("insert %d: warm descent read %d predicates, want at most 40 (first: %d)", k, warm, first)
 		}
+	}
+}
+
+// leafCountedOps is countedOps that also counts, in leaf, the Consistent
+// calls on leaf predicates (16-byte points).
+type leafCountedOps struct {
+	countedOps
+	leaf *atomic.Int64
+}
+
+func (o leafCountedOps) Consistent(pred, query []byte) bool {
+	if len(pred) == 16 {
+		o.leaf.Add(1)
+	}
+	return o.countedOps.Consistent(pred, query)
+}
+
+// TestWindowReadsFewPredicates pins the R-tree split on read_cached's
+// R-tree: 50k points uniform in [0,1000)², inserted in random order in
+// transactions of 500, searched by windows of side √200 (about 10 hits).
+// The extension has no Intervals capability, so a window reads every
+// entry of every node it visits, and the leaves it visits are set by how
+// much the split lets sibling MBRs overlap: an R*-tree split reads a
+// leaf or two per window, a split that mixes distant entries into one
+// leaf reads over ten.
+func TestWindowReadsFewPredicates(t *testing.T) {
+	db, err := gistdb.Open(gistdb.Options{PoolPages: 8192})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	reads, leaf := new(atomic.Int64), new(atomic.Int64)
+	idx, err := db.CreateIndex("pts", leafCountedOps{countedOps{rtree.Ops{}, reads}, leaf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n, side = 50_000, 1000.0
+	rng := rand.New(rand.NewSource(3))
+	for lo := 0; lo < n; lo += 500 {
+		tx, _ := db.Begin()
+		for i := lo; i < lo+500; i++ {
+			if _, err := idx.Insert(tx, rtree.EncodePoint(rng.Float64()*side, rng.Float64()*side), []byte("p")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const windows = 200
+	w := math.Sqrt(200)
+	search := func(q []byte) int {
+		t.Helper()
+		tx, _ := db.Begin()
+		defer tx.Commit()
+		hits, err := idx.Search(tx, q, gistdb.ReadCommitted)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(hits)
+	}
+	qs := make([][]byte, windows)
+	for i := range qs {
+		x, y := rng.Float64()*(side-w), rng.Float64()*(side-w)
+		qs[i] = rtree.EncodeRect(rtree.Rect{XMin: x, YMin: y, XMax: x + w, YMax: y + w})
+		search(qs[i])
+	}
+	reads.Store(0)
+	leaf.Store(0)
+	hits := 0
+	for _, q := range qs {
+		hits += search(q)
+	}
+	perWindow, leafPerWindow := float64(reads.Load())/windows, float64(leaf.Load())/windows
+	rep, err := idx.Check()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d windows, %.1f hits, %.0f Consistent calls (%.0f on leaf predicates, %.1f of %d leaves) per window",
+		windows, float64(hits)/windows, perWindow, leafPerWindow, leafPerWindow*float64(rep.Leaves)/float64(rep.Entries), rep.Leaves)
+	if perWindow > 600 {
+		t.Errorf("%.0f Consistent calls per window, want at most 600", perWindow)
+	}
+	if leafPerWindow > 400 {
+		t.Errorf("%.0f Consistent calls on leaf predicates per window, want at most 400", leafPerWindow)
 	}
 }
