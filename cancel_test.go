@@ -10,7 +10,7 @@ import (
 	"repro/internal/btree"
 )
 
-// TestStatementCancelRollsBackStatementOnly pins the default CancelPolicy:
+// TestStatementCancelRollsBackStatementOnly pins statement-level rollback:
 // a cancelled InsertCtx removes only that statement's effects — the heap
 // record and any index entry — and the transaction stays active with its
 // earlier statements intact.
@@ -62,48 +62,6 @@ func TestStatementCancelRollsBackStatementOnly(t *testing.T) {
 	}
 	if !got[1] || got[2] || !got[3] {
 		t.Errorf("keys after commit = %v, want {1,3}", got)
-	}
-}
-
-// TestCancelAbortPolicy pins CancelPolicy=CancelAbort: a cancelled
-// statement aborts the whole transaction.
-func TestCancelAbortPolicy(t *testing.T) {
-	db, err := gistdb.Open(gistdb.Options{MaxEntries: 8, CancelPolicy: gistdb.CancelAbort})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	idx, err := db.CreateIndex("ints", btree.Ops{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tx, err := db.Begin()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := idx.InsertCtx(context.Background(), tx, btree.EncodeKey(1), []byte("first")); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := idx.InsertCtx(ctx, tx, btree.EncodeKey(2), []byte("second")); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled InsertCtx = %v, want context.Canceled", err)
-	}
-	// The whole transaction died with the statement.
-	if err := tx.Commit(); !errors.Is(err, gistdb.ErrNotActive) {
-		t.Fatalf("commit after CancelAbort = %v, want ErrNotActive", err)
-	}
-	tx2, err := db.Begin()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tx2.Commit()
-	hits, err := idx.Search(tx2, btree.EncodeRange(0, 10), gistdb.RepeatableRead)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hits) != 0 {
-		t.Errorf("hits after aborted txn = %v, want none", hits)
 	}
 }
 

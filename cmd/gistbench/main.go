@@ -454,8 +454,8 @@ func expCancel() {
 					if isCancelErr(stmtErr) {
 						stmtCancels.Add(1)
 					}
-					// Statement-level rollback already ran (CancelStatement
-					// policy); the txn holds no effects worth keeping.
+					// Statement-level rollback already ran; the txn holds
+					// no effects worth keeping.
 					tx.Abort()
 					aborted.Add(1)
 					cancel()
@@ -491,7 +491,7 @@ func expCancel() {
 	// Pending group commits finish on a background goroutine; give the
 	// txn table a moment to drain before auditing it.
 	deadline := time.Now().Add(5 * time.Second)
-	for db.Stats().ActiveTxns > 0 && time.Now().Before(deadline) {
+	for db.Metrics()["txn.active"] > 0 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
@@ -507,7 +507,7 @@ func expCancel() {
 	cell.LoadWaitNanos = m["buffer.load_wait_nanos"]
 	cell.QueueWaiters = m["lock.queue_waiters"]
 	cell.PinnedFrames = m["buffer.pinned_frames"]
-	cell.ActiveTxns = int64(db.Stats().ActiveTxns)
+	cell.ActiveTxns = m["txn.active"]
 
 	// The oracle: every structural invariant holds and the live entries are
 	// exactly the union of the workers' committed models.
@@ -856,8 +856,7 @@ func expCrashFuzz() {
 }
 
 // expMetrics runs a small mixed workload and dumps the unified stats
-// registry, cross-checking the legacy typed Stats view against the named
-// counters so any divergence between the two read paths is visible.
+// registry.
 func expMetrics() {
 	db, err := gistdb.Open(gistdb.Options{MaxEntries: 8})
 	must(err)
@@ -918,27 +917,6 @@ func expMetrics() {
 	for _, name := range stats.Names(m) {
 		fmt.Printf("  %-28s %d\n", name, m[name])
 	}
-
-	s := db.Stats()
-	check := func(name string, legacy int64) {
-		status := "ok"
-		if m[name] != legacy {
-			status = fmt.Sprintf("MISMATCH (registry %d)", m[name])
-		}
-		fmt.Printf("  legacy %-22s %-8d %s\n", name, legacy, status)
-	}
-	fmt.Println("legacy Stats() cross-check:")
-	check("txn.commits", s.Commits)
-	check("txn.aborts", s.Aborts)
-	check("lock.acquisitions", s.LockAcquisitions)
-	check("lock.waits", s.LockWaits)
-	check("lock.deadlocks", s.Deadlocks)
-	check("predicate.checks", s.PredicateChecks)
-	check("predicate.preds_examined", s.PredicatesExamined)
-	check("buffer.hits", s.BufferHits)
-	check("buffer.misses", s.BufferMisses)
-	check("wal.appends", s.LogRecords)
-	check("wal.syncs", s.LogFlushes)
 }
 
 func must(err error) {
@@ -1235,7 +1213,7 @@ func predicateCell(scanners int) (hybrid, global float64) {
 	for i := 0; i < checks; i++ {
 		pm.Conflicting(pageID(2+i%leaves), 999999, conflict)
 	}
-	_, examined := pm.Stats()
+	examined := pm.Metrics().Value("predicate.preds_examined")
 	hybrid = float64(examined) / checks
 	if hybrid == 0 {
 		hybrid = 0.001 // avoid division artifacts in the ratio column
@@ -1245,7 +1223,7 @@ func predicateCell(scanners int) (hybrid, global float64) {
 	for i := 0; i < checks; i++ {
 		pm.ConflictingGlobal(999999, conflict)
 	}
-	_, examined = pm.Stats()
+	examined = pm.Metrics().Value("predicate.preds_examined")
 	global = float64(examined) / checks
 	return hybrid, global
 }

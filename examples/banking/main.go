@@ -129,9 +129,9 @@ func main() {
 		fmt.Println("  " + line)
 	}
 
-	s := db.Stats()
+	m := db.Metrics()
 	fmt.Printf("\nengine stats: %d commits, %d aborts, %d lock waits, %d deadlocks detected\n",
-		s.Commits, s.Aborts, s.LockWaits, s.Deadlocks)
+		m["txn.commits"], m["txn.aborts"], m["lock.waits"], m["lock.deadlocks"])
 }
 
 var barrier sync.WaitGroup

@@ -101,20 +101,6 @@ var (
 	ErrCommitPending = txn.ErrCommitPending
 )
 
-// CancelPolicy selects what happens to the enclosing transaction when a
-// statement (an Index *Ctx method) is cancelled mid-flight.
-type CancelPolicy int
-
-const (
-	// CancelStatement (the default) rolls back only the cancelled
-	// statement's effects, by logical undo back to the statement's start
-	// LSN; the transaction stays active and usable.
-	CancelStatement CancelPolicy = iota
-	// CancelAbort aborts the whole transaction when any of its statements
-	// is cancelled.
-	CancelAbort
-)
-
 // Options configures Open.
 type Options struct {
 	// Dir is the directory for the page file and WAL; empty means a
@@ -129,19 +115,12 @@ type Options struct {
 	// IOLatency adds simulated latency to every page read/write,
 	// making I/O cost visible to the concurrency experiments.
 	IOLatency time.Duration
-	// CancelPolicy selects statement-level rollback (the default) or
-	// whole-transaction abort when an Index *Ctx statement is cancelled.
-	CancelPolicy CancelPolicy
 	// Maintenance, when non-nil, enables the background maintenance
 	// subsystem (autonomous checkpointer, crash-atomic log truncator,
 	// write-behind flusher, GC sweeper). The zero Options value gives
 	// production defaults; set Manual to drive the daemons by explicit
 	// ticks instead of goroutines.
 	Maintenance *MaintenanceOptions
-	// RecoveryWorkers is the fan-out of restart's parallel redo drain
-	// (0 = GOMAXPROCS; 1 = the serial single-goroutine order, the
-	// determinism gate for byte-exact repro of a restart).
-	RecoveryWorkers int
 	// SlowOpThreshold pins every operation at least this slow into the
 	// flight recorder's slow ring (see DB.SlowOps); 0 disables pinning.
 	// The recent ring is always on regardless.
@@ -185,49 +164,59 @@ func Open(opts Options) (*DB, error) {
 	if opts.PoolPages <= 0 {
 		opts.PoolPages = 1024
 	}
+	if opts.Dir == "" {
+		return newDB(opts, storage.NewMemDisk(), wal.NewMemLog()).start(true)
+	}
+	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
+		return nil, err
+	}
+	d, err := storage.OpenFileDisk(filepath.Join(opts.Dir, "pages.db"))
+	if err != nil {
+		return nil, err
+	}
+	l, err := wal.OpenFileLog(filepath.Join(opts.Dir, "wal.log"))
+	if err != nil {
+		d.Close()
+		return nil, err
+	}
+	return newDB(opts, d, l).start(l.LastLSN() == 0)
+}
+
+// newDB wires the engine's parts over a page store and a log: lock,
+// predicate and transaction managers, buffer pool, and the heap with its
+// undo handlers. An in-memory store is kept for crash simulation.
+func newDB(opts Options, disk storage.Manager, log *wal.Log) *DB {
 	db := &DB{
 		opts:     opts,
+		disk:     disk,
+		log:      log,
 		locks:    lock.NewManager(),
 		preds:    predicate.NewManager(),
 		indexes:  make(map[string]*Index),
 		catalog:  catalogPage,
 		recorder: stats.NewRecorder(opts.RecentOps, opts.SlowOpThreshold),
 	}
-	fresh := true
-	if opts.Dir == "" {
-		db.mem = storage.NewMemDisk()
-		db.disk = db.mem
-		db.log = wal.NewMemLog()
-	} else {
-		if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
-			return nil, err
-		}
-		d, err := storage.OpenFileDisk(filepath.Join(opts.Dir, "pages.db"))
-		if err != nil {
-			return nil, err
-		}
-		l, err := wal.OpenFileLog(filepath.Join(opts.Dir, "wal.log"))
-		if err != nil {
-			d.Close()
-			return nil, err
-		}
-		db.disk = d
-		db.log = l
-		fresh = l.LastLSN() == 0
-	}
+	db.mem, _ = disk.(*storage.MemDisk)
 	if opts.IOLatency > 0 {
-		db.disk = storage.NewSlowDisk(db.disk, opts.IOLatency)
+		db.disk = storage.NewSlowDisk(disk, opts.IOLatency)
 	}
-	db.pool = buffer.New(db.disk, opts.PoolPages, db.log)
-	db.tm = txn.NewManager(db.log, db.locks, db.preds)
+	db.pool = buffer.New(db.disk, opts.PoolPages, log)
+	db.tm = txn.NewManager(log, db.locks, db.preds)
 	db.heap = heap.New(db.pool)
 	db.heap.RegisterUndo(db.tm)
+	return db
+}
 
+// start formats a fresh database or runs restart over an existing one, then
+// launches the maintenance daemons.
+func (db *DB) start(fresh bool) (*DB, error) {
+	var err error
 	if fresh {
-		if err := db.bootstrap(); err != nil {
-			return nil, err
-		}
-	} else if err := db.recover(); err != nil {
+		err = db.bootstrap()
+	} else {
+		err = db.recover()
+	}
+	if err != nil {
 		return nil, err
 	}
 	db.startMaintenance()
@@ -336,10 +325,7 @@ func (db *DB) bootstrap() error {
 
 // recover runs ARIES restart over the existing log and page store.
 func (db *DB) recover() error {
-	rec := &recovery.Recovery{
-		Log: db.log, Pool: db.pool, Disk: db.disk, TM: db.tm,
-		Workers: db.opts.RecoveryWorkers,
-	}
+	rec := &recovery.Recovery{Log: db.log, Pool: db.pool, Disk: db.disk, TM: db.tm}
 	db.recReg = rec.Metrics()
 	_, err := rec.Run(func() error {
 		gist.RegisterRecoveryHandlers(db.tm, db.pool)
@@ -553,35 +539,8 @@ func (db *DB) Checkpoint() error {
 	return err
 }
 
-// Stats exposes engine counters for monitoring and the experiments.
-type Stats struct {
-	Commits, Aborts           int64
-	LockAcquisitions          int64
-	LockWaits, Deadlocks      int64
-	PredicateChecks           int64
-	PredicatesExamined        int64
-	BufferHits, BufferMisses  int64
-	LogRecords, LogFlushes    int64
-	ActiveTxns, LivePredicate int
-}
-
-// Stats returns a snapshot of engine counters.
-func (db *DB) Stats() Stats {
-	var s Stats
-	s.Commits, s.Aborts = db.tm.Stats()
-	s.LockAcquisitions, s.LockWaits, s.Deadlocks = db.locks.Stats()
-	s.PredicateChecks, s.PredicatesExamined = db.preds.Stats()
-	s.BufferHits, s.BufferMisses, _ = db.pool.Stats()
-	s.LogRecords, s.LogFlushes = db.log.Stats()
-	s.ActiveTxns = len(db.tm.ActiveTxns())
-	s.LivePredicate, _ = db.preds.Counts()
-	return s
-}
-
 // Metrics merges every subsystem's counter registry into one uniform map
 // keyed by dotted metric names ("buffer.hits", "lock.waits", "disk.reads").
-// It supersedes the per-manager Stats methods for monitoring; Stats remains
-// as a typed convenience view over the same counters.
 func (db *DB) Metrics() map[string]int64 {
 	regs := []*stats.Registry{
 		db.tm.Metrics(),
@@ -671,39 +630,7 @@ func (db *DB) Close() error {
 // (OpenIndex) with their extensions. File-backed databases crash for real:
 // just drop the handle and Open the directory again.
 func (db *DB) SimulateCrash() (*DB, error) {
-	if db.mem == nil {
-		return nil, errors.New("gistdb: SimulateCrash requires an in-memory database")
-	}
-	if db.maint != nil {
-		db.maint.Stop() // the crashed instance's daemons die with it
-	}
-	db.mu.Lock()
-	db.closed = true
-	db.mu.Unlock()
-
-	survivor := &DB{
-		opts:     db.opts,
-		locks:    lock.NewManager(),
-		preds:    predicate.NewManager(),
-		indexes:  make(map[string]*Index),
-		catalog:  db.catalog,
-		recorder: stats.NewRecorder(db.opts.RecentOps, db.opts.SlowOpThreshold),
-	}
-	survivor.mem = db.mem.Snapshot()
-	survivor.disk = survivor.mem
-	if db.opts.IOLatency > 0 {
-		survivor.disk = storage.NewSlowDisk(survivor.mem, db.opts.IOLatency)
-	}
-	survivor.log = db.log.SurvivingLog()
-	survivor.pool = buffer.New(survivor.disk, db.opts.PoolPages, survivor.log)
-	survivor.tm = txn.NewManager(survivor.log, survivor.locks, survivor.preds)
-	survivor.heap = heap.New(survivor.pool)
-	survivor.heap.RegisterUndo(survivor.tm)
-	if err := survivor.recover(); err != nil {
-		return nil, err
-	}
-	survivor.startMaintenance()
-	return survivor, nil
+	return db.survive("SimulateCrash", db.log.SurvivingLog)
 }
 
 // WAL exposes the write-ahead log for inspection by the experiment harness
@@ -716,39 +643,25 @@ func (db *DB) WAL() *wal.Log { return db.log }
 // been written back (the experiment harness uses ample pools and no
 // checkpoints to guarantee that).
 func (db *DB) SimulateCrashAtLSN(lsn page.LSN) (*DB, error) {
+	return db.survive("SimulateCrashAtLSN", func() *wal.Log { return db.log.TruncatedCopy(lsn) })
+}
+
+// survive crashes an in-memory database and restarts a new one over a
+// snapshot of its pages and the log surviving returns. The daemons stop
+// first, and the pages are copied before the log, so no page image that
+// survives is newer than the log that does.
+func (db *DB) survive(op string, surviving func() *wal.Log) (*DB, error) {
 	if db.mem == nil {
-		return nil, errors.New("gistdb: SimulateCrashAtLSN requires an in-memory database")
+		return nil, fmt.Errorf("gistdb: %s requires an in-memory database", op)
 	}
 	if db.maint != nil {
-		db.maint.Stop()
+		db.maint.Stop() // the crashed instance's daemons die with it
 	}
 	db.mu.Lock()
 	db.closed = true
 	db.mu.Unlock()
-
-	survivor := &DB{
-		opts:     db.opts,
-		locks:    lock.NewManager(),
-		preds:    predicate.NewManager(),
-		indexes:  make(map[string]*Index),
-		catalog:  db.catalog,
-		recorder: stats.NewRecorder(db.opts.RecentOps, db.opts.SlowOpThreshold),
-	}
-	survivor.mem = db.mem.Snapshot()
-	survivor.disk = survivor.mem
-	if db.opts.IOLatency > 0 {
-		survivor.disk = storage.NewSlowDisk(survivor.mem, db.opts.IOLatency)
-	}
-	survivor.log = db.log.TruncatedCopy(lsn)
-	survivor.pool = buffer.New(survivor.disk, db.opts.PoolPages, survivor.log)
-	survivor.tm = txn.NewManager(survivor.log, survivor.locks, survivor.preds)
-	survivor.heap = heap.New(survivor.pool)
-	survivor.heap.RegisterUndo(survivor.tm)
-	if err := survivor.recover(); err != nil {
-		return nil, err
-	}
-	survivor.startMaintenance()
-	return survivor, nil
+	disk := db.mem.Snapshot()
+	return newDB(db.opts, disk, surviving()).start(false)
 }
 
 // DropIndex removes an index: its catalog entry is deleted durably and all

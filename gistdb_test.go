@@ -49,8 +49,40 @@ func TestQuickstartFlow(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if got := db.Stats(); got.Commits == 0 {
-		t.Error("stats missing commit")
+	if got := db.Metrics()["txn.commits"]; got == 0 {
+		t.Error("metrics missing commit")
+	}
+}
+
+// TestMetricsReportOpenTxnAndPredicate: the merged registry counts an open
+// transaction and the search predicate it holds until commit, and both go
+// when it commits.
+func TestMetricsReportOpenTxnAndPredicate(t *testing.T) {
+	db := openMem(t)
+	defer db.Close()
+	idx, err := db.CreateIndex("ints", btree.Ops{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx, err := db.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := idx.Search(tx, btree.EncodeRange(0, 10), gistdb.RepeatableRead); err != nil {
+		t.Fatal(err)
+	}
+	m := db.Metrics()
+	if m["txn.active"] != 1 || m["predicate.live"] != 1 {
+		t.Errorf("open txn holding a predicate: txn.active = %d, predicate.live = %d, want 1 and 1",
+			m["txn.active"], m["predicate.live"])
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	m = db.Metrics()
+	if m["txn.active"] != 0 || m["predicate.live"] != 0 {
+		t.Errorf("after commit: txn.active = %d, predicate.live = %d, want 0 and 0",
+			m["txn.active"], m["predicate.live"])
 	}
 }
 
@@ -482,9 +514,6 @@ func TestDropIndexReclaimsPagesAndSurvivesCrash(t *testing.T) {
 		keep.Insert(tx, btree.EncodeKey(int64(i)), []byte("y"))
 		tx.Commit()
 	}
-	before := db.Stats()
-	_ = before
-
 	if err := db.DropIndex("doomed"); err != nil {
 		t.Fatal(err)
 	}

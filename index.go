@@ -35,7 +35,7 @@ func (ix *Index) Insert(tx *Tx, key, record []byte) (RID, error) {
 // InsertCtx is Insert as a cancellable statement: ctx is honored at every
 // blocking point (lock waits, frame loads, node-visit boundaries). On
 // cancellation the statement's partial effects — the heap record and any
-// logged tree updates — are rolled back per Options.CancelPolicy, and
+// logged tree updates — are rolled back, the transaction stays active, and
 // ctx.Err() is returned.
 func (ix *Index) InsertCtx(ctx context.Context, tx *Tx, key, record []byte) (RID, error) {
 	var rid RID
@@ -183,8 +183,7 @@ func (ix *Index) Delete(tx *Tx, key []byte, rid RID) error {
 }
 
 // DeleteCtx is Delete as a cancellable statement (see InsertCtx): on
-// cancellation the logical delete mark and the heap kill are rolled back
-// per Options.CancelPolicy.
+// cancellation the logical delete mark and the heap kill are rolled back.
 func (ix *Index) DeleteCtx(ctx context.Context, tx *Tx, key []byte, rid RID) error {
 	return tx.statement(func() error {
 		if err := ix.tree.DeleteCtx(ctx, tx.inner, key, rid); err != nil {

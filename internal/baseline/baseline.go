@@ -128,7 +128,7 @@ func (ix *Index) latchRoot(mode latch.Mode, latched int) (*buffer.Frame, error) 
 
 // fetch pins a page, attributing any miss to the current latch depth.
 func (ix *Index) fetch(id page.PageID, latched int) (*buffer.Frame, error) {
-	f, missed, err := ix.pool.FetchEx(id)
+	f, missed, _, err := ix.pool.FetchExStats(nil, id)
 	if err != nil {
 		return nil, err
 	}

@@ -308,17 +308,11 @@ func (p *Pool) Capacity() int { return p.capacity }
 // Metrics exposes the pool's counter registry.
 func (p *Pool) Metrics() *stats.Registry { return p.reg }
 
-// Stats returns cumulative hit/miss/eviction counts (read through the
-// stats registry).
-func (p *Pool) Stats() (hits, misses, evicts int64) {
-	return p.hits.Load(), p.misses.Load(), p.evicts.Load()
-}
-
 // Fetch pins the page with the given id, reading it from disk on a miss,
 // and returns its frame. The caller must not hold any latch while calling
 // Fetch (the call may block on I/O) and must eventually call Unpin.
 func (p *Pool) Fetch(id page.PageID) (*Frame, error) {
-	f, _, err := p.FetchExCtx(nil, id)
+	f, _, _, err := p.fetchEx(nil, id)
 	return f, err
 }
 
@@ -328,15 +322,8 @@ func (p *Pool) Fetch(id page.PageID) (*Frame, error) {
 // I/O started by this call itself is not interrupted — the no-latch-across-
 // I/O discipline means callers are free to simply not wait for it.
 func (p *Pool) FetchCtx(ctx context.Context, id page.PageID) (*Frame, error) {
-	f, _, err := p.FetchExCtx(ctx, id)
+	f, _, _, err := p.fetchEx(ctx, id)
 	return f, err
-}
-
-// FetchEx is Fetch with an exact per-call miss indicator: missed is true
-// iff this call performed a disk read. The no-latch-across-I/O experiment
-// uses it to attribute I/Os to the calling operation precisely.
-func (p *Pool) FetchEx(id page.PageID) (*Frame, bool, error) {
-	return p.FetchExCtx(nil, id)
 }
 
 // ctxErr returns ctx.Err(), tolerating a nil ctx.
@@ -363,17 +350,12 @@ func wakeOnDone(ctx context.Context, s *shard) func() bool {
 	})
 }
 
-// FetchExCtx is FetchEx with FetchCtx's cancellation contract.
-func (p *Pool) FetchExCtx(ctx context.Context, id page.PageID) (*Frame, bool, error) {
-	f, missed, _, err := p.fetchEx(ctx, id)
-	return f, missed, err
-}
-
-// FetchExStats is FetchExCtx additionally reporting the nanoseconds this
+// FetchExStats is FetchCtx with an exact per-call miss indicator (missed
+// is true iff this call performed a disk read) and the nanoseconds this
 // call spent off the fast path: parked on a frame another goroutine was
 // loading or writing back, plus this call's own disk read on a miss. A
 // buffer hit returns 0 without ever reading the clock. Operations use it to
-// attribute buffer-load time to themselves.
+// attribute buffer-load time and I/Os to themselves.
 func (p *Pool) FetchExStats(ctx context.Context, id page.PageID) (f *Frame, missed bool, waitNanos int64, err error) {
 	return p.fetchEx(ctx, id)
 }

@@ -95,7 +95,7 @@ func TestEvictionWritesBackAndReloads(t *testing.T) {
 		}
 		p.Unpin(f, false, 0)
 	}
-	if _, misses, _ := p.Stats(); misses == 0 {
+	if misses := p.Metrics().Value("buffer.misses"); misses == 0 {
 		t.Error("expected misses with capacity 2")
 	}
 }
@@ -291,9 +291,7 @@ func TestDiscardAbandonsFreshPage(t *testing.T) {
 	p := New(d, 2, nil)
 	f, _ := p.NewPage(0)
 	p.Discard(f)
-	r, w := d.Stats()
-	_ = r
-	if w != 0 {
+	if w := d.Metrics().Value("disk.writes"); w != 0 {
 		t.Errorf("discarded page was written (%d writes)", w)
 	}
 }
@@ -336,7 +334,7 @@ func TestConcurrentFetchersSamePage(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if hits, misses, _ := p.Stats(); misses != 1 || hits != n-1 {
+	if hits, misses := p.Metrics().Value("buffer.hits"), p.Metrics().Value("buffer.misses"); misses != 1 || hits != n-1 {
 		t.Logf("hits=%d misses=%d (timing-dependent, informational)", hits, misses)
 	}
 }

@@ -74,6 +74,10 @@ type Config struct {
 	// budget during the first restart; the harness then restarts again
 	// from whatever the torn recovery left behind.
 	RecoveryBudget int64
+	// AtTruncate runs one writer and counts Budget from the start of its
+	// mid-workload head truncation instead of from the end of setup, so
+	// the crash lands inside the truncation whatever the schedule.
+	AtTruncate bool
 }
 
 // Result describes what one scenario did.
@@ -81,7 +85,9 @@ type Result struct {
 	Seed           int64
 	Budget         int64
 	RecoveryBudget int64
+	AtTruncate     bool
 	TotalBytes     int64  // calibration only: post-setup bytes of a crash-free run
+	TruncateBytes  int64  // bytes written while the mid-workload head truncation ran
 	CrashSite      string // "wal", "walt", "pages", "dw", "explicit" (ran past the budget)
 	TailType       string // type of the last record in the survivor log
 	SecondCrash    bool   // the mid-recovery crash point actually fired
@@ -94,6 +100,10 @@ type Result struct {
 
 // Repro is the command line that replays this scenario.
 func (r *Result) Repro() string {
+	if r.AtTruncate {
+		return fmt.Sprintf("go test ./internal/crashfuzz -run TestCrashFuzz/seeds/truncation (seed %d, budget %d from the truncation's start)",
+			r.Seed, r.Budget)
+	}
 	return fmt.Sprintf("gistbench -exp crashfuzz -seed %d (budget %d, recovery budget %d)",
 		r.Seed, r.Budget, r.RecoveryBudget)
 }
@@ -218,7 +228,7 @@ type model struct {
 // Run executes one full crash cycle and returns its result; a non-nil
 // error is an invariant, oracle, or model violation (or a harness failure).
 func Run(cfg Config) (*Result, error) {
-	res := &Result{Seed: cfg.Seed, Budget: cfg.Budget, RecoveryBudget: cfg.RecoveryBudget}
+	res := &Result{Seed: cfg.Seed, Budget: cfg.Budget, RecoveryBudget: cfg.RecoveryBudget, AtTruncate: cfg.AtTruncate}
 	// The fuzz workload's concurrent searches run the version-validated
 	// node visits against splits, GC, and crash-restart cycles.
 	tcfg := gist.Config{MaxEntries: maxEntries, Ops: btree.Ops{}}
@@ -267,8 +277,20 @@ func Run(cfg Config) (*Result, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	writers := 1 + rng.Intn(4)
 	opsPerWriter := 16 + rng.Intn(12)
-	if cfg.Budget >= 0 {
+	if cfg.AtTruncate {
+		writers = 1
+	} else if cfg.Budget >= 0 {
 		cp.Arm(cfg.Budget)
+	}
+	// truncate is writer 0's mid-workload head cut.
+	truncate := func(bound page.LSN) error {
+		if cfg.AtTruncate && cfg.Budget >= 0 {
+			cp.Arm(cfg.Budget)
+		}
+		before := cp.BytesWritten()
+		_, err := m.maint.TruncateTo(bound)
+		res.TruncateBytes = cp.BytesWritten() - before
+		return err
 	}
 
 	var bugMu sync.Mutex
@@ -292,7 +314,7 @@ func Run(cfg Config) (*Result, error) {
 		wg.Add(1)
 		go func(gid int) {
 			defer wg.Done()
-			runWriter(m, mdl, cp, cfg.Seed, gid, writers, opsPerWriter, baseline, bug)
+			runWriter(m, mdl, cp, cfg.Seed, gid, writers, opsPerWriter, baseline, truncate, bug)
 		}(g)
 	}
 	wg.Wait()
@@ -477,7 +499,7 @@ func insertKVCtx(ctx context.Context, m *machine, tx *txn.Txn, k int64) (page.RI
 // the crash point fires are expected; failures before it are reported as
 // bugs. Locks of transactions that cannot finish cleanly are force-released
 // so peers never hang on a zombie.
-func runWriter(m *machine, mdl *model, cp *storage.CrashPoint, seed int64, gid, writers, ops int, baseline map[page.RID][]byte, bug func(string, ...any)) {
+func runWriter(m *machine, mdl *model, cp *storage.CrashPoint, seed int64, gid, writers, ops int, baseline map[page.RID][]byte, truncate func(page.LSN) error, bug func(string, ...any)) {
 	wrng := rand.New(rand.NewSource(seed*1315423911 + int64(gid+1)))
 	nextKey := int64(gid+1) * 1_000_000
 
@@ -552,7 +574,7 @@ func runWriter(m *machine, mdl *model, cp *storage.CrashPoint, seed int64, gid, 
 				}
 			} else if bound := m.maint.TruncationBound(); bound > m.log.Base()+1 {
 				check.FoldBaseline(m.log, baseline, bound)
-				if _, err := m.maint.TruncateTo(bound); err != nil && !benign(err) {
+				if err := truncate(bound); err != nil && !benign(err) {
 					bug("writer 0 maintenance truncate: %v", err)
 				}
 			}
@@ -769,8 +791,6 @@ func validate(m *machine, mdl *model, baseline map[page.RID][]byte, tcfg gist.Co
 	return nil
 }
 
-// ridTrace is a temporary diagnostic: when a validation error names a RID,
-// dump every log record touching it.
 // pageTrace is a temporary diagnostic: given a violation error naming a
 // page ("pg=N", "node N", or a RID "(p,s)"), dump every log record that
 // touches the page — directly, via its RID, or via a body entry whose
@@ -987,6 +1007,24 @@ func Calibrate(seed int64, dir string) (int64, error) {
 		return 0, err
 	}
 	return r.TotalBytes, nil
+}
+
+// RunAtTruncate places the crash inside the crash-atomic head truncation of
+// seed's one-writer workload. A crash-free pass in calDir measures the
+// bytes the truncation writes; the crash pass in dir arms the crash point
+// as the truncation starts, with two thirds of that budget. The cut writes
+// the allocation metadata and its intent record, then the surviving log
+// suffix twice (sidecar journal, then the log file), so the crash tears the
+// journal or the rewrite, and the survivor log ends with the intent.
+func RunAtTruncate(seed int64, calDir, dir string) (*Result, error) {
+	cal, err := Run(Config{Seed: seed, Dir: calDir, Budget: -1, AtTruncate: true})
+	if err != nil {
+		return cal, err
+	}
+	if cal.TruncateBytes == 0 {
+		return cal, fmt.Errorf("crashfuzz: seed %d never truncated the log head", seed)
+	}
+	return Run(Config{Seed: seed, Dir: dir, Budget: cal.TruncateBytes * 2 / 3, AtTruncate: true})
 }
 
 // RunSeed derives a scenario deterministically from seed (given a

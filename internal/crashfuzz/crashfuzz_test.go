@@ -34,6 +34,19 @@ func TestCrashFuzz(t *testing.T) {
 	second := 0
 
 	t.Run("seeds", func(t *testing.T) {
+		// Whether a drawn budget lands in the head truncation depends on
+		// the schedule; this case places one there deterministically.
+		t.Run("truncation", func(t *testing.T) {
+			t.Parallel()
+			res, err := RunAtTruncate(1, t.TempDir(), t.TempDir())
+			if err != nil {
+				t.Fatalf("%v\nrepro: %s", err, res.Repro())
+			}
+			mu.Lock()
+			sites[res.CrashSite]++
+			tails[res.TailType]++
+			mu.Unlock()
+		})
 		for seed := int64(1); seed <= n; seed++ {
 			seed := seed
 			t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {

@@ -38,7 +38,6 @@ import (
 	"repro/internal/predicate"
 	"repro/internal/recovery"
 	"repro/internal/repl"
-	"repro/internal/shards"
 	"repro/internal/storage"
 	"repro/internal/txn"
 	"repro/internal/wal"
@@ -71,7 +70,6 @@ func newReplica(dial func() (io.ReadWriteCloser, error)) *replica {
 	r.heap.RegisterUndo(r.tm)
 	r.recv = repl.NewReceiver(repl.ReceiverDeps{
 		Log: r.log, Pool: r.pool, Disk: r.disk, TM: r.tm,
-		Workers: shards.Workers(),
 	}, dial)
 	return r
 }
@@ -160,12 +158,16 @@ func RunPromote(cfg Config) (*Result, error) {
 		return fmt.Errorf("%s [%s]", bugs[0], promoteRepro(cfg))
 	}
 
+	truncate := func(bound page.LSN) error {
+		_, err := m.maint.TruncateTo(bound)
+		return err
+	}
 	var wg sync.WaitGroup
 	for g := 0; g < writers; g++ {
 		wg.Add(1)
 		go func(gid int) {
 			defer wg.Done()
-			runWriter(m, mdl, cp, cfg.Seed, gid, writers, opsPerWriter, baseline, bug)
+			runWriter(m, mdl, cp, cfg.Seed, gid, writers, opsPerWriter, baseline, truncate, bug)
 		}(g)
 	}
 	wg.Wait()

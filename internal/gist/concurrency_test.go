@@ -172,7 +172,7 @@ func TestFigure2SplitDuringBlockedScan(t *testing.T) {
 	// Wait until the scan is blocked on key 106's record lock.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		if waits := func() int64 { _, w, _ := e.locks.Stats(); return w }(); waits > 0 {
+		if waits := e.locks.Metrics().Value("lock.waits"); waits > 0 {
 			break
 		}
 		if time.Now().After(deadline) {

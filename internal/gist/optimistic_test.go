@@ -270,7 +270,7 @@ func TestOptimisticEvictionChurn(t *testing.T) {
 		}(r)
 	}
 	wg.Wait()
-	if _, misses, _ := e.pool.Stats(); misses == 0 {
+	if misses := e.pool.Metrics().Value("buffer.misses"); misses == 0 {
 		t.Error("expected buffer misses with a 16-frame pool (no churn exercised)")
 	}
 	e.checkTree()

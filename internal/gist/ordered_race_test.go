@@ -239,7 +239,7 @@ func TestOptimisticOrderedEvictionChurn(t *testing.T) {
 		}(r)
 	}
 	wg.Wait()
-	if _, misses, _ := e.pool.Stats(); misses == 0 {
+	if misses := e.pool.Metrics().Value("buffer.misses"); misses == 0 {
 		t.Error("no buffer misses: no frame was remapped")
 	}
 	if bounds.Load() == 0 {

@@ -470,10 +470,10 @@ func TestPlacementFetchesO1(t *testing.T) {
 	for i := 0; i < pages; i++ {
 		mustInsert(t, e, tx, rec)
 	}
-	hits, misses, _ := e.pool.Stats()
+	hits, misses := e.pool.Metrics().Value("buffer.hits"), e.pool.Metrics().Value("buffer.misses")
 	before := hits + misses
 	rid := mustInsert(t, e, tx, rec)
-	hits, misses, _ = e.pool.Stats()
+	hits, misses = e.pool.Metrics().Value("buffer.hits"), e.pool.Metrics().Value("buffer.misses")
 	if fetched := hits + misses - before; fetched > 2 {
 		t.Errorf("insert fetched %d pages, want at most 2", fetched)
 	}

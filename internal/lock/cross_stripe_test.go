@@ -72,7 +72,7 @@ func TestDeadlockAcrossStripes(t *testing.T) {
 		t.Fatal("surviving request never completed")
 	}
 
-	if _, _, dl := m.Stats(); dl < 1 {
+	if dl := m.Metrics().Value("lock.deadlocks"); dl < 1 {
 		t.Errorf("deadlocks counter = %d, want >= 1", dl)
 	}
 

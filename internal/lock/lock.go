@@ -653,9 +653,3 @@ func (m *Manager) AbortWaiter(txn page.TxnID, err error) {
 		st.mu.Unlock()
 	}
 }
-
-// Stats returns cumulative counters: total grants, requests that waited,
-// and deadlocks detected (read through the stats registry).
-func (m *Manager) Stats() (acquisitions, waits, deadlocks int64) {
-	return m.acquisitions.Load(), m.waits.Load(), m.deadlocks.Load()
-}

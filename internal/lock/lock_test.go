@@ -152,7 +152,7 @@ func TestDeadlockDetected(t *testing.T) {
 	if err := <-got; err != nil {
 		t.Fatal(err)
 	}
-	if _, _, dl := m.Stats(); dl != 1 {
+	if dl := m.Metrics().Value("lock.deadlocks"); dl != 1 {
 		t.Errorf("deadlocks = %d, want 1", dl)
 	}
 }

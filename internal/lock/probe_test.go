@@ -39,7 +39,7 @@ func TestProbeFreeNameLeavesTableEmpty(t *testing.T) {
 	if got := m.Metrics().Value("lock.probes"); got != 2 {
 		t.Errorf("lock.probes = %d, want 2", got)
 	}
-	if acq, _, _ := m.Stats(); acq != 0 {
+	if acq := m.Metrics().Value("lock.acquisitions"); acq != 0 {
 		t.Errorf("Probe counted %d acquisitions", acq)
 	}
 }

@@ -75,11 +75,6 @@ type Options struct {
 	GCBurstLeaves   int
 	GCSweepTicks    int
 
-	// Backpressure: when the foreground contention score (Deps.Pressure)
-	// grows by more than this between two ticks, the flusher and sweeper
-	// skip their tick (default 256; 0 disables).
-	PressureThreshold int64
-
 	// Manual disables the daemon goroutines: Start/Stop become no-ops and
 	// only the explicit Tick* calls do work. Tests and the crash harness
 	// use this for determinism.
@@ -119,9 +114,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.GCSweepTicks == 0 {
 		o.GCSweepTicks = 64
-	}
-	if o.PressureThreshold == 0 {
-		o.PressureThreshold = 256
 	}
 	return o
 }
@@ -435,17 +427,22 @@ func (m *Manager) truncateLocked(bound page.LSN) (int64, error) {
 	return n, nil
 }
 
+// pressureThreshold is the growth of the foreground contention score
+// (Deps.Pressure) between two ticks past which the flusher and sweeper skip
+// their tick.
+const pressureThreshold = 256
+
 // backpressureLocked reports whether the foreground contention score grew
 // enough since the last evaluation that optional work (flush, GC) should
 // stand down this tick. tickMu held.
 func (m *Manager) backpressureLocked() bool {
-	if m.d.Pressure == nil || m.opts.PressureThreshold <= 0 {
+	if m.d.Pressure == nil {
 		return false
 	}
 	cur := m.d.Pressure()
 	delta := cur - m.lastPressure
 	m.lastPressure = cur
-	if delta > m.opts.PressureThreshold {
+	if delta > pressureThreshold {
 		m.pauses.Inc()
 		return true
 	}

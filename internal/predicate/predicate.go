@@ -119,6 +119,10 @@ func NewManager() *Manager {
 	m.predsExamined = m.reg.Counter("predicate.preds_examined")
 	m.contended = m.reg.Counter("predicate.shard_contention")
 	m.reg.Gauge("predicate.shards", func() int64 { return int64(len(m.shards)) })
+	m.reg.Gauge("predicate.live", func() int64 {
+		n, _ := m.Counts()
+		return int64(n)
+	})
 	m.shards = make([]predShard, shards.Count(0))
 	for i := range m.shards {
 		m.shards[i].byNode = make(map[page.PageID][]attachment)
@@ -487,13 +491,6 @@ func (m *Manager) Counts() (preds, attachments int) {
 		s.mu.Unlock()
 	}
 	return preds, attachments
-}
-
-// Stats returns the number of conflict checks performed and the cumulative
-// number of predicates examined by them (experiment E9's metric), read
-// through the stats registry.
-func (m *Manager) Stats() (checks, predsExamined int64) {
-	return m.checks.Load(), m.predsExamined.Load()
 }
 
 // ResetStats zeroes every counter and histogram in the manager's registry.

@@ -72,7 +72,7 @@ func TestConflictingChecksOnlyNodeList(t *testing.T) {
 	if len(got) != 5 {
 		t.Errorf("Conflicting on node 0 = %d, want 5", len(got))
 	}
-	_, examined := m.Stats()
+	examined := m.Metrics().Value("predicate.preds_examined")
 	if examined != 5 {
 		t.Errorf("examined %d predicates, want 5 (hybrid checks only the leaf list)", examined)
 	}
@@ -82,7 +82,7 @@ func TestConflictingChecksOnlyNodeList(t *testing.T) {
 	if len(all) != 10 {
 		t.Errorf("global = %d, want 10", len(all))
 	}
-	_, examined = m.Stats()
+	examined = m.Metrics().Value("predicate.preds_examined")
 	if examined != 10 {
 		t.Errorf("global examined %d, want 10", examined)
 	}

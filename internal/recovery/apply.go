@@ -48,8 +48,7 @@ type Applier struct {
 }
 
 // NewApplier builds an applier over a replica's log, pool, disk, and
-// transaction manager. workers is the redo fan-out (0 = GOMAXPROCS-derived,
-// 1 = serial global-LSN order, the determinism gate).
+// transaction manager. workers is the redo fan-out (0 = GOMAXPROCS-derived).
 func NewApplier(log *wal.Log, pool *buffer.Pool, disk storage.Manager, tm *txn.Manager, workers int) *Applier {
 	ap := &Applier{
 		r:      &Recovery{Log: log, Pool: pool, Disk: disk, TM: tm, Workers: workers},
@@ -105,7 +104,6 @@ func (ap *Applier) ApplyBatch(recs []*wal.Record) error {
 			}
 		}
 		if pgs := touchedPages(rec); len(pgs) > 0 {
-			plan.flat = append(plan.flat, rec)
 			for _, pg := range pgs {
 				if _, ok := plan.byPage[pg]; !ok {
 					plan.order = append(plan.order, pg)

@@ -44,33 +44,28 @@ func (d *readFaultDisk) ReadPage(id page.PageID, buf []byte) error {
 // page legitimately gone from the allocation state) may be skipped; any
 // other fetch error must fail the restart.
 //
-// The log is arranged so the Free-Page redo performs a real disk read: the
-// target page is allocated (read #1 at its Get-Page redo), evicted from a
-// tiny pool by filler allocations, and freed (read #2 — the injected fault)
-// by a transaction that never commits. Restart keeps a page a loser freed
-// allocated until undo has run, so the Free-Page redo genuinely fetches.
-// (A later reallocation no longer does: redo skips the records of a page's
-// earlier incarnation.)
+// The log is arranged so the Free-Page redo is the first read of its page:
+// T1 allocates the target page and commits, a checkpoint with an empty
+// dirty page table follows, and a transaction that never commits frees the
+// page. The redo point is the Free-Page, so the target's queue holds only
+// that record, and the prefetcher skips a page its queue deallocates: the
+// one read of the target is the Free-Page fetch, whatever the schedule.
+// Restart keeps a page a loser freed allocated until undo has run, so the
+// Free-Page redo genuinely fetches.
 func TestRedoFreePageFetchErrorFailsRestart(t *testing.T) {
 	buildLog := func() *wal.Log {
 		l := wal.NewMemLog()
 		const target = page.PageID(1)
-		commit := func(txn page.TxnID) {
-			l.Append(&wal.Record{Type: wal.RecCommit, Txn: txn})
-			l.Append(&wal.Record{Type: wal.RecEnd, Txn: txn})
-		}
 		// T1 allocates the target page.
 		l.Append(&wal.Record{Type: wal.RecGetPage, Txn: 1, Pg: target})
-		commit(1)
-		// T2 floods the 8-frame pool so the target's frame is evicted
-		// (written back) before its Free-Page record comes up for redo.
-		for i := 0; i < 32; i++ {
-			l.Append(&wal.Record{Type: wal.RecGetPage, Txn: 2, Pg: target + 1 + page.PageID(i)})
-		}
-		commit(2)
-		// T3 frees the target and never commits: redo of this record is
+		l.Append(&wal.Record{Type: wal.RecCommit, Txn: 1})
+		l.Append(&wal.Record{Type: wal.RecEnd, Txn: 1})
+		// Nothing is dirty or in flight at the checkpoint, so redo starts
+		// past T1's Get-Page.
+		l.Append(&wal.Record{Type: wal.RecCheckpoint})
+		// T2 frees the target and never commits: redo of this record is
 		// the fetch under test.
-		l.Append(&wal.Record{Type: wal.RecFreePage, Txn: 3, Pg: target})
+		l.Append(&wal.Record{Type: wal.RecFreePage, Txn: 2, Pg: target})
 		if err := l.FlushAll(); err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +73,7 @@ func TestRedoFreePageFetchErrorFailsRestart(t *testing.T) {
 	}
 
 	l := buildLog()
-	disk := &readFaultDisk{Manager: storage.NewMemDisk(), target: 1, failOn: 2}
+	disk := &readFaultDisk{Manager: storage.NewMemDisk(), target: 1, failOn: 1}
 	pool := buffer.New(disk, 8, l)
 	rec := &recovery.Recovery{Log: l, Pool: pool, Disk: disk, Workers: 1}
 	_, err := rec.Run(nil)
@@ -88,11 +83,11 @@ func TestRedoFreePageFetchErrorFailsRestart(t *testing.T) {
 	if !errors.Is(err, errReadFault) {
 		t.Fatalf("restart failed with %v, want the injected read fault", err)
 	}
-	if !strings.Contains(err.Error(), "recovery: redo") {
-		t.Errorf("error %q lacks the redo phase context", err)
+	if !strings.Contains(err.Error(), "recovery: redo") || !strings.Contains(err.Error(), "free-page fetch") {
+		t.Errorf("error %q lacks the redo phase or Free-Page fetch context", err)
 	}
-	if got := disk.reads.Load(); got != 2 {
-		t.Fatalf("target page read %d times, want 2 (the second read is the faulted Free-Page fetch)", got)
+	if got := disk.reads.Load(); got != 1 {
+		t.Fatalf("target page read %d times, want 1 (the faulted Free-Page fetch)", got)
 	}
 
 	// Control: the identical restart with no fault armed succeeds, so the
@@ -103,7 +98,7 @@ func TestRedoFreePageFetchErrorFailsRestart(t *testing.T) {
 	tm := txn.NewManager(l2, lock.NewManager(), predicate.NewManager())
 	rec2 := &recovery.Recovery{Log: l2, Pool: pool2, Disk: mem, TM: tm, Workers: 1}
 	if _, err := rec2.Run(func() error {
-		gist.RegisterRecoveryHandlers(tm, pool2) // T3's free is undone
+		gist.RegisterRecoveryHandlers(tm, pool2) // T2's free is undone
 		return nil
 	}); err != nil {
 		t.Fatalf("control restart without fault failed: %v", err)

@@ -176,7 +176,7 @@ func buildSequential(t *testing.T, seed int64) *world {
 }
 
 // TestParallelSerialEquivalence restarts a corpus of seeded crash states
-// with RecoveryWorkers=1 and =8 and asserts the two produce identical page
+// with one redo worker and with eight and asserts the two produce identical page
 // images, identical stats, identical post-recovery logs, and both satisfy
 // the survivor-log oracle.
 func TestParallelSerialEquivalence(t *testing.T) {
@@ -263,7 +263,7 @@ func TestParallelUndoMultiLoserEquivalence(t *testing.T) {
 // images, and stats. The old code iterated the loser map in Go's
 // randomized order, so with eight losers virtually every pair of restarts
 // interleaved their CLRs differently and crashfuzz repros changed run to
-// run. Workers=1 is the determinism gate the repro workflow uses.
+// run.
 func TestRepeatedRestartDeterminism(t *testing.T) {
 	w := buildMultiLoser(t, 8)
 	s := w.survivorAt(0)

@@ -15,10 +15,7 @@
 // on Workers goroutines (redo is page-independent, so per-queue LSN order is
 // the only order that matters), with a DPT-driven prefetcher warming the
 // pool ahead of the drain; losers are then undone in one pass in descending
-// LSN order over all of them. Workers=1 reproduces the serial restart
-// exactly — record at a time in global LSN order — which is the
-// determinism gate the crashfuzz repro workflow and the equivalence tests
-// rely on.
+// LSN order over all of them.
 package recovery
 
 import (
@@ -51,8 +48,7 @@ type Recovery struct {
 	TM   *txn.Manager
 
 	// Workers is the fan-out of the redo drain. Zero means
-	// shards.Workers() (GOMAXPROCS, clamped); 1 forces the serial
-	// single-goroutine order.
+	// shards.Workers() (GOMAXPROCS, clamped).
 	Workers int
 
 	// heapPages lists the pages the retained log's heap inserts wrote,
@@ -110,9 +106,6 @@ type Stats struct {
 
 // redoPlan is the page-partitioned redo work gathered by the forward scan.
 type redoPlan struct {
-	// flat holds every page-modifying record in LSN order (the serial
-	// drain order; also the source the queues were split from).
-	flat []*wal.Record
 	// order is the first-touch order of pages, the deterministic basis for
 	// worker assignment.
 	order  []page.PageID
@@ -339,7 +332,6 @@ func (r *Recovery) scan() (*Analysis, int, *redoPlan, error) {
 		// redo point (known only once the scan completes) are trimmed at
 		// drain time.
 		if len(pgs) > 0 {
-			plan.flat = append(plan.flat, rec)
 			for _, pg := range pgs {
 				if _, ok := plan.byPage[pg]; !ok {
 					plan.order = append(plan.order, pg)
@@ -460,23 +452,9 @@ func touchedPages(rec *wal.Record) []page.PageID {
 
 // redo repeats history from the redo point. Redo is page-independent — a
 // record applies to a page iff the pageLSN predates it, regardless of what
-// happened to other pages in between — so with workers > 1 the per-page
-// queues drain concurrently, each queue in LSN order. workers <= 1 replays
-// the flat record sequence in global LSN order, byte-identical to the
-// historical serial restart.
+// happened to other pages in between — so the per-page queues drain
+// concurrently on up to workers goroutines, each queue in LSN order.
 func (r *Recovery) redo(a *Analysis, plan *redoPlan, st *Stats, workers int) error {
-	if workers <= 1 {
-		for _, rec := range plan.flat {
-			if rec.LSN < a.RedoLSN {
-				continue
-			}
-			if err := r.redoRecord(rec, st); err != nil {
-				return fmt.Errorf("redo of %v: %w", rec, err)
-			}
-		}
-		return nil
-	}
-
 	// Trim each queue to the redo point and drop the emptied ones.
 	type queue struct {
 		pg   page.PageID
@@ -574,18 +552,6 @@ func (r *Recovery) redo(a *Analysis, plan *redoPlan, st *Stats, workers int) err
 	r.workerPages.Store(maxPages)
 	for _, err := range errs {
 		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// redoRecord applies one record to every page it touches, in touched-page
-// order — the serial drain unit, identical to one step of the historical
-// single-goroutine restart.
-func (r *Recovery) redoRecord(rec *wal.Record, st *Stats) error {
-	for _, pg := range touchedPages(rec) {
-		if err := r.redoOnPage(rec, pg, st); err != nil {
 			return err
 		}
 	}
@@ -703,9 +669,10 @@ func (r *Recovery) redoOnPage(rec *wal.Record, pg page.PageID, st *Stats) error 
 
 // deallocate returns a page to the free pool, waiting out the transient
 // window in which a concurrent eviction write-back holds the frame pinned
-// around its I/O (possible only under parallel redo — the page's own queue
-// holds no pin here, and the prefetcher skips deallocating pages). A pin
-// that never drains still surfaces as the underlying error.
+// around its I/O (another queue's fetch or the prefetcher can evict the
+// page; its own queue holds no pin here, and the prefetcher skips
+// deallocating pages). A pin that never drains still surfaces as the
+// underlying error.
 func (r *Recovery) deallocate(pg page.PageID) error {
 	for spins := 0; ; spins++ {
 		err := r.Pool.Deallocate(pg)

@@ -38,7 +38,7 @@ func TestRedoRecordStatsExact(t *testing.T) {
 		r, _ := newRec()
 		id := allocPage(t, r, 5)
 		var st Stats
-		if err := r.redoRecord(&wal.Record{Type: wal.RecFreePage, Pg: id, LSN: 9}, &st); err != nil {
+		if err := r.redoOnPage(&wal.Record{Type: wal.RecFreePage, Pg: id, LSN: 9}, id, &st); err != nil {
 			t.Fatal(err)
 		}
 		if st.Redone != 1 || st.RedoSkipped != 0 {
@@ -49,7 +49,7 @@ func TestRedoRecordStatsExact(t *testing.T) {
 	t.Run("free-page already gone", func(t *testing.T) {
 		r, _ := newRec()
 		var st Stats
-		if err := r.redoRecord(&wal.Record{Type: wal.RecFreePage, Pg: 77, LSN: 9}, &st); err != nil {
+		if err := r.redoOnPage(&wal.Record{Type: wal.RecFreePage, Pg: 77, LSN: 9}, 77, &st); err != nil {
 			t.Fatal(err)
 		}
 		if st.Redone != 0 || st.RedoSkipped != 1 {
@@ -62,7 +62,7 @@ func TestRedoRecordStatsExact(t *testing.T) {
 		id := allocPage(t, r, 5)
 		var st Stats
 		rec := &wal.Record{Type: wal.RecGetPage | wal.ClrFlag, Pg: id, LSN: 9}
-		if err := r.redoRecord(rec, &st); err != nil {
+		if err := r.redoOnPage(rec, rec.Pg, &st); err != nil {
 			t.Fatal(err)
 		}
 		if st.Redone != 1 || st.RedoSkipped != 0 {
@@ -74,7 +74,7 @@ func TestRedoRecordStatsExact(t *testing.T) {
 		r, _ := newRec()
 		var st Stats
 		rec := &wal.Record{Type: wal.RecGetPage | wal.ClrFlag, Pg: 77, LSN: 9}
-		if err := r.redoRecord(rec, &st); err != nil {
+		if err := r.redoOnPage(rec, rec.Pg, &st); err != nil {
 			t.Fatal(err)
 		}
 		if st.Redone != 0 || st.RedoSkipped != 1 {
@@ -87,7 +87,7 @@ func TestRedoRecordStatsExact(t *testing.T) {
 		id := allocPage(t, r, 42)
 		var st Stats
 		rec := &wal.Record{Type: wal.RecGetPage, Pg: id, LSN: 9}
-		if err := r.redoRecord(rec, &st); err != nil {
+		if err := r.redoOnPage(rec, rec.Pg, &st); err != nil {
 			t.Fatal(err)
 		}
 		if st.Redone != 0 || st.RedoSkipped != 1 {

@@ -23,11 +23,10 @@ import (
 // manager that serves read-only transactions until promotion (and losers'
 // aborts at promotion).
 type ReceiverDeps struct {
-	Log     *wal.Log
-	Pool    *buffer.Pool
-	Disk    storage.Manager
-	TM      *txn.Manager
-	Workers int // redo fan-out for the continuous applier
+	Log  *wal.Log
+	Pool *buffer.Pool
+	Disk storage.Manager
+	TM   *txn.Manager
 }
 
 // ErrPromoted is returned by replica operations after Promote.
@@ -97,7 +96,7 @@ func NewReceiver(d ReceiverDeps, dial func() (io.ReadWriteCloser, error)) *Recei
 	r := &Receiver{
 		deps:    d,
 		dial:    dial,
-		ap:      recovery.NewApplier(d.Log, d.Pool, d.Disk, d.TM, d.Workers),
+		ap:      recovery.NewApplier(d.Log, d.Pool, d.Disk, d.TM, 0),
 		stop:    make(chan struct{}),
 		applyCh: make(chan struct{}),
 		pending: make(map[page.RID]page.TxnID),

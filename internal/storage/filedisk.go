@@ -351,12 +351,6 @@ func (d *FileDisk) NumAllocated() int {
 	return len(d.live)
 }
 
-// Stats returns cumulative read and write counts, read through the stats
-// registry.
-func (d *FileDisk) Stats() (reads, writes int64) {
-	return d.reads.Load(), d.writes.Load()
-}
-
 // Metrics exposes the store's counter registry.
 func (d *FileDisk) Metrics() *stats.Registry { return d.reg }
 

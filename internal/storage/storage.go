@@ -153,12 +153,6 @@ func (m *MemDisk) NumAllocated() int {
 	return len(m.pages)
 }
 
-// Stats returns cumulative read and write counts, read through the stats
-// registry.
-func (m *MemDisk) Stats() (reads, writes int64) {
-	return m.reads.Load(), m.writes.Load()
-}
-
 // Sync implements Manager; a no-op for memory.
 func (m *MemDisk) Sync() error { return nil }
 

@@ -358,7 +358,7 @@ func TestMemDiskStats(t *testing.T) {
 	m.WritePage(id, buf)
 	m.ReadPage(id, buf)
 	m.ReadPage(id, buf)
-	r, w := m.Stats()
+	r, w := m.Metrics().Value("disk.reads"), m.Metrics().Value("disk.writes")
 	if r != 2 || w != 1 {
 		t.Errorf("stats = %d reads %d writes, want 2,1", r, w)
 	}
@@ -443,7 +443,7 @@ func TestFileDiskStatsAndEnsureBeyondEOF(t *testing.T) {
 	buf := make([]byte, page.Size)
 	d.WritePage(id, buf)
 	d.ReadPage(id, buf)
-	if r, w := d.Stats(); r != 1 || w != 1 {
+	if r, w := d.Metrics().Value("disk.reads"), d.Metrics().Value("disk.writes"); r != 1 || w != 1 {
 		t.Errorf("stats = %d,%d", r, w)
 	}
 	// Adopt an id beyond EOF: the file must be extended with zeros.

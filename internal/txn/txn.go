@@ -319,12 +319,6 @@ func (m *Manager) Checkpoint(dpt func() map[page.PageID]page.LSN) (page.LSN, err
 	return lsn, m.log.FlushTo(lsn)
 }
 
-// Stats returns the numbers of committed and aborted transactions, read
-// through the stats registry.
-func (m *Manager) Stats() (commits, aborts int64) {
-	return m.commits.Load(), m.aborts.Load()
-}
-
 func (m *Manager) finish(tx *Txn) {
 	m.mu.Lock()
 	delete(m.active, tx.id)

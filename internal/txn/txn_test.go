@@ -75,7 +75,7 @@ func TestBeginCommitLifecycle(t *testing.T) {
 	if types := logTypes(m); !slices.Equal(types, want) {
 		t.Errorf("log = %v, want %v", types, want)
 	}
-	if c, a := m.Stats(); c != 2 || a != 0 {
+	if c, a := m.Metrics().Value("txn.commits"), m.Metrics().Value("txn.aborts"); c != 2 || a != 0 {
 		t.Errorf("stats = %d commits %d aborts", c, a)
 	}
 }
@@ -101,7 +101,7 @@ func TestEmptyAbortLogsNothing(t *testing.T) {
 	if _, held := m.Locks().Holding(tx.ID(), lock.ForTxn(tx.ID())); held {
 		t.Error("self lock survived abort")
 	}
-	if c, a := m.Stats(); c != 0 || a != 1 {
+	if c, a := m.Metrics().Value("txn.commits"), m.Metrics().Value("txn.aborts"); c != 0 || a != 1 {
 		t.Errorf("stats = %d commits %d aborts", c, a)
 	}
 }
@@ -159,7 +159,7 @@ func TestAbortUndoesBackchainInReverse(t *testing.T) {
 	if clrs != 2 {
 		t.Errorf("CLRs = %d, want 2", clrs)
 	}
-	if c, a := m.Stats(); c != 0 || a != 1 {
+	if c, a := m.Metrics().Value("txn.commits"), m.Metrics().Value("txn.aborts"); c != 0 || a != 1 {
 		t.Errorf("stats = %d commits %d aborts", c, a)
 	}
 }

@@ -50,7 +50,7 @@ func BenchmarkWALAppendFile(b *testing.B) {
 		}
 	})
 	b.StopTimer()
-	appends, syncs := l.Stats()
+	appends, syncs := l.Metrics().Value("wal.appends"), l.Metrics().Value("wal.syncs")
 	b.ReportMetric(float64(appends), "appends")
 	b.ReportMetric(float64(syncs), "fsyncs")
 }
@@ -77,7 +77,7 @@ func BenchmarkWALCommit(b *testing.B) {
 		}
 	})
 	b.StopTimer()
-	appends, syncs := l.Stats()
+	appends, syncs := l.Metrics().Value("wal.appends"), l.Metrics().Value("wal.syncs")
 	if appends > 0 {
 		b.ReportMetric(float64(syncs)/float64(appends), "fsyncs/commit")
 	}

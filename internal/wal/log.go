@@ -960,12 +960,6 @@ func (l *Log) MasterCheckpoint() page.LSN {
 	return l.masterCk
 }
 
-// Stats returns the number of appends and physical flushes, read through
-// the stats registry.
-func (l *Log) Stats() (appends, syncs int64) {
-	return l.appends.Load(), l.syncs.Load()
-}
-
 // TruncatedCopy returns a new in-memory log holding only records with
 // LSN <= lsn, regardless of flush state. The recovery experiments use it to
 // place a crash point after any chosen record.

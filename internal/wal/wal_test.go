@@ -356,7 +356,7 @@ func TestStatsCounters(t *testing.T) {
 	l.Append(&Record{Type: RecBegin, Txn: 1})
 	l.Append(&Record{Type: RecBegin, Txn: 2})
 	l.FlushAll()
-	appends, syncs := l.Stats()
+	appends, syncs := l.Metrics().Value("wal.appends"), l.Metrics().Value("wal.syncs")
 	if appends != 2 || syncs != 1 {
 		t.Errorf("stats = %d appends %d syncs", appends, syncs)
 	}
@@ -472,7 +472,7 @@ func TestGroupCommitConcurrentFlushes(t *testing.T) {
 		}(c)
 	}
 	wg.Wait()
-	appends, syncs := l.Stats()
+	appends, syncs := l.Metrics().Value("wal.appends"), l.Metrics().Value("wal.syncs")
 	if appends != committers*20 {
 		t.Errorf("appends = %d", appends)
 	}

@@ -24,16 +24,10 @@ import (
 	"io"
 	"sync"
 
-	"repro/internal/buffer"
 	"repro/internal/check"
 	"repro/internal/gist"
-	"repro/internal/heap"
-	"repro/internal/latch"
-	"repro/internal/lock"
 	"repro/internal/page"
-	"repro/internal/predicate"
 	"repro/internal/repl"
-	"repro/internal/stats"
 	"repro/internal/storage"
 	"repro/internal/txn"
 	"repro/internal/wal"
@@ -47,19 +41,11 @@ var ErrPromoted = repl.ErrPromoted
 // primary's log-shipping stream, serving read-only transactions at a bounded
 // lag behind the primary, promotable on failover.
 type ReplicaDB struct {
-	opts  Options
-	mem   *storage.MemDisk
-	disk  storage.Manager
-	log   *wal.Log
-	pool  *buffer.Pool
-	locks *lock.Manager
-	preds *predicate.Manager
-	tm    *txn.Manager
-	heap  *heap.File
-	recv  *repl.Receiver
-	// recorder is the flight recorder the replica's trees trace into; a
-	// promoted DB keeps it.
-	recorder *stats.Recorder
+	// eng holds the engine parts (disk, log, pool, managers, heap, flight
+	// recorder); the stream is their only writer until Promote hands them
+	// over as the new primary.
+	eng  *DB
+	recv *repl.Receiver
 
 	mu       sync.Mutex
 	indexes  map[string]*ReplicaIndex
@@ -81,28 +67,14 @@ func OpenReplica(opts Options, dial func() (io.ReadWriteCloser, error)) (*Replic
 		opts.PoolPages = 1024
 	}
 	r := &ReplicaDB{
-		opts:     opts,
-		mem:      storage.NewMemDisk(),
-		log:      wal.NewReplicaLog(0),
-		locks:    lock.NewManager(),
-		preds:    predicate.NewManager(),
-		indexes:  make(map[string]*ReplicaIndex),
-		recorder: stats.NewRecorder(opts.RecentOps, opts.SlowOpThreshold),
+		eng:     newDB(opts, storage.NewMemDisk(), wal.NewReplicaLog(0)),
+		indexes: make(map[string]*ReplicaIndex),
 	}
-	r.disk = r.mem
-	if opts.IOLatency > 0 {
-		r.disk = storage.NewSlowDisk(r.mem, opts.IOLatency)
-	}
-	r.pool = buffer.New(r.disk, opts.PoolPages, r.log)
-	r.tm = txn.NewManager(r.log, r.locks, r.preds)
-	r.heap = heap.New(r.pool)
-	r.heap.RegisterUndo(r.tm)
 	r.recv = repl.NewReceiver(repl.ReceiverDeps{
-		Log:     r.log,
-		Pool:    r.pool,
-		Disk:    r.mem, // snapshot loads install page images under the pool
-		TM:      r.tm,
-		Workers: opts.RecoveryWorkers,
+		Log:  r.eng.log,
+		Pool: r.eng.pool,
+		Disk: r.eng.mem, // snapshot loads install page images under the pool
+		TM:   r.eng.tm,
 	}, dial)
 	r.recv.Start()
 	return r, nil
@@ -129,18 +101,10 @@ func (r *ReplicaDB) Err() error { return r.recv.Err() }
 // receiver's repl.* counters (with the repl.apply_lag histogram), the
 // continuous-redo applier's recovery.* registry, and the apply-lag gauge.
 func (r *ReplicaDB) Metrics() map[string]int64 {
-	return stats.Merged(
-		r.recv.Metrics(),
-		r.recv.ApplierMetrics(),
-		r.tm.Metrics(),
-		r.locks.Metrics(),
-		r.preds.Metrics(),
-		r.pool.Metrics(),
-		r.log.Metrics(),
-		storage.MetricsOf(r.disk),
-		latch.Metrics(),
-		gist.Metrics(),
-	)
+	m := r.eng.Metrics()
+	r.recv.Metrics().CollectInto(m)
+	r.recv.ApplierMetrics().CollectInto(m)
+	return m
 }
 
 // OpenIndex opens an index replicated from the primary, by catalog name.
@@ -159,11 +123,11 @@ func (r *ReplicaDB) OpenIndex(name string, ops Ops) (*ReplicaIndex, error) {
 	// one and pin the other.
 	r.recv.RLock()
 	defer r.recv.RUnlock()
-	anchor, err := readCatalogAt(r.pool, catalogPage, name)
+	anchor, err := readCatalogAt(r.eng.pool, catalogPage, name)
 	if err != nil {
 		return nil, err
 	}
-	tree, err := gist.Open(r.pool, r.tm, treeConfig(r.opts, r.recorder, ops), anchor)
+	tree, err := gist.Open(r.eng.pool, r.eng.tm, treeConfig(r.eng.opts, r.eng.recorder, ops), anchor)
 	if err != nil {
 		return nil, err
 	}
@@ -184,7 +148,7 @@ func (r *ReplicaDB) Begin() (*ReplicaTx, error) {
 	if bad {
 		return nil, ErrPromoted
 	}
-	t, err := r.tm.BeginReadOnly()
+	t, err := r.eng.tm.BeginReadOnly()
 	if err != nil {
 		return nil, err
 	}
@@ -215,26 +179,13 @@ func (r *ReplicaDB) Promote() (*DB, error) {
 	r.mu.Unlock()
 
 	if _, err := r.recv.Promote(func() error {
-		gist.RegisterRecoveryHandlers(r.tm, r.pool)
+		gist.RegisterRecoveryHandlers(r.eng.tm, r.eng.pool)
 		return nil
 	}); err != nil {
 		return nil, fmt.Errorf("gistdb: promote: %w", err)
 	}
 
-	db := &DB{
-		opts:     r.opts,
-		disk:     r.disk,
-		mem:      r.mem,
-		log:      r.log,
-		pool:     r.pool,
-		locks:    r.locks,
-		preds:    r.preds,
-		tm:       r.tm,
-		heap:     r.heap,
-		indexes:  make(map[string]*Index),
-		catalog:  catalogPage,
-		recorder: r.recorder,
-	}
+	db := r.eng
 	r.mu.Lock()
 	for name, rix := range r.indexes {
 		db.indexes[name] = &Index{db: db, tree: rix.tree, name: name}
@@ -348,7 +299,7 @@ func (ix *ReplicaIndex) Fetch(rid RID) ([]byte, error) {
 	if !ix.db.recv.Visible(rid) {
 		return nil, ErrNoRecord
 	}
-	return ix.db.heap.Read(rid)
+	return ix.db.eng.heap.Read(rid)
 }
 
 // OpenCursor starts a scan. Replica cursors are materialized: the full
@@ -391,10 +342,10 @@ func (ix *ReplicaIndex) Check() (*check.Report, error) {
 	ix.db.recv.RLock()
 	defer ix.db.recv.RUnlock()
 	c := &check.Checker{
-		Pool:   ix.db.pool,
+		Pool:   ix.db.eng.pool,
 		Ops:    ix.tree.Ops(),
 		Anchor: ix.tree.Anchor(),
-		MaxNSN: ix.db.log.LastLSN(),
+		MaxNSN: ix.db.eng.log.LastLSN(),
 	}
 	return c.Check()
 }

@@ -174,29 +174,21 @@ func isCancel(err error) bool {
 // statement runs one mutating index statement with statement-level
 // atomicity under cancellation: when fn returns a context error the
 // statement's logged effects are removed by logical undo back to the
-// statement's start LSN (CancelStatement) or the whole transaction is
-// aborted (CancelAbort), per Options.CancelPolicy. Non-cancellation errors
-// pass through untouched, preserving the engine's existing error contract
-// (e.g. ErrDuplicate, deadlock-driven ErrAborted).
+// statement's start LSN, and the transaction stays active. Non-cancellation
+// errors pass through untouched, preserving the engine's existing error
+// contract (e.g. ErrDuplicate, deadlock-driven ErrAborted).
 func (tx *Tx) statement(fn func() error) error {
 	mark := tx.inner.LastLSN()
 	err := fn()
 	if err == nil || !isCancel(err) {
 		return err
 	}
-	switch tx.db.opts.CancelPolicy {
-	case CancelAbort:
-		if aerr := tx.Abort(); aerr != nil && !errors.Is(aerr, ErrNotActive) {
-			return fmt.Errorf("%v; abort after cancel: %w", err, aerr)
-		}
-	default: // CancelStatement
-		if rerr := tx.inner.RollbackToLSN(mark); rerr != nil {
-			// A failed partial undo leaves the transaction's effects
-			// indeterminate; abort wholesale rather than let the caller
-			// keep using it.
-			tx.Abort()
-			return fmt.Errorf("%v; statement rollback: %w", err, rerr)
-		}
+	if rerr := tx.inner.RollbackToLSN(mark); rerr != nil {
+		// A failed partial undo leaves the transaction's effects
+		// indeterminate; abort wholesale rather than let the caller keep
+		// using it.
+		tx.Abort()
+		return fmt.Errorf("%v; statement rollback: %w", err, rerr)
 	}
 	return err
 }
