@@ -72,12 +72,10 @@ func BenchmarkInsert(b *testing.B) {
 
 // BenchmarkLoad measures committed facade inserts of 400-byte records on
 // top of 10k and 50k existing ones. Heap placement and bounding-predicate
-// expansion cost O(1) in the heap and node size. The descent
-// binary-searches a node's slot order when an entry contains the key, but
-// these keys ascend past the end of the key range, so every insert
-// widens the rightmost path: its descent walks every entry of the wider
-// internal nodes, and that walk is what still grows between the two
-// sizes.
+// expansion cost O(1) in the heap and node size. These keys ascend past
+// the end of the key range, so every insert widens the rightmost path;
+// each node on it carries its slot order across the widening, and the
+// next descent finds the nearest entry by binary search.
 func BenchmarkLoad(b *testing.B) {
 	rec := make([]byte, 400)
 	for _, n := range []int{10_000, 50_000} {

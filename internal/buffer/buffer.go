@@ -111,10 +111,20 @@ type Frame struct {
 
 // SlotOrder is a page's live slots sorted by the lower bound of their
 // predicates, with the running maximum of the upper bounds (see gist's
-// matches). It is immutable once published, except Seen.
+// matches). Its arrays are immutable once published. Ver and LSN change
+// only under the page's X latch, when a page change leaves the arrays
+// right for the new image (see gist's carryOrder), and Seen at any time.
 type SlotOrder struct {
-	ID  page.PageID
-	Ver uint64 // latch version of the image it was built from
+	ID page.PageID
+
+	// Ver is the latch version of the image the order describes: the one
+	// it was built from, or the version the release of an X hold that
+	// carried it will produce.
+	Ver atomic.Uint64
+
+	// LSN is that image's pageLSN. An X holder that finds it equal to the
+	// page's knows no record has changed the page since that image.
+	LSN page.LSN
 
 	// Slots holds the live slots by ascending lower bound; MaxHi[i] is
 	// the slot with the largest upper bound among Slots[:i+1].

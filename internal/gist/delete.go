@@ -194,7 +194,7 @@ func (o *op) shrinkParentBP(f *buffer.Frame, stack []pathEntry) {
 	if oldPred, _ := parentF.Page.PredAt(slot); bytes.Equal(oldPred, newBP) {
 		return
 	}
-	if o.logApply(&wal.Record{Type: wal.RecParentEntryUpdate, Pg: parentF.ID(), Pg2: f.ID(), Body: newBP}, parentF) == nil {
+	if o.logParentUpdate(parentF, slot, f.ID(), newBP) == nil {
 		t.Stats.BPUpdates.Add(1)
 	}
 }

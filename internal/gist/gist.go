@@ -107,11 +107,15 @@ type Ops interface {
 // exactly when lo(p) <= hi(q) and lo(q) <= hi(p), for leaf keys, internal
 // bounding predicates and queries alike. Penalty must agree with it too:
 // Penalty(pred, key) is 0 when the leaf key lies within pred's bounds and
-// greater than 0 otherwise. A tree whose extension has it searches a node
-// by binary search over a sorted slot order instead of calling Consistent
-// on every slot (see matches), and its insert descent finds the first
-// penalty-0 entry the same way (see chooseSubtree); any other extension
-// keeps the slot-by-slot walks.
+// greater than 0 otherwise. Outside the bounds it depends only on the
+// bound nearer the key — hi(pred) for a key above pred, lo(pred) for one
+// below — and is nondecreasing as that bound moves away from the key in
+// byte order. A tree whose extension has it searches a node by binary
+// search over a sorted slot order instead of calling Consistent on every
+// slot (see matches), and its insert descent finds the first penalty-0
+// entry the same way, or, when no entry contains the key, the nearest
+// entries (see chooseSubtree); any other extension keeps the slot-by-slot
+// walks.
 type Intervals interface {
 	Bounds(pred []byte) (lo, hi []byte)
 }

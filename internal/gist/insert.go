@@ -783,7 +783,7 @@ func (o *op) propagateBP(childF *buffer.Frame, pred []byte, stack []pathEntry) e
 
 	// This level's update is one redo-only record: an atomic action that
 	// needs no nested top action, since its undo does nothing.
-	if err := o.logApply(&wal.Record{Type: wal.RecParentEntryUpdate, Pg: parentF.ID(), Pg2: childF.ID(), Body: merged}, parentF); err != nil {
+	if err := o.logParentUpdate(parentF, slot, childF.ID(), merged); err != nil {
 		o.releaseParent(parentF, ownPin)
 		return fmt.Errorf("gist: BP update on %d: %w", parentF.ID(), err)
 	}

@@ -6,6 +6,7 @@ package intervaltest
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/gist"
@@ -30,7 +31,8 @@ type Domain struct {
 // preserve the points' order, to read a range as its two end keys, and
 // to allocate nothing (its bounds alias the predicate). Last it requires
 // Penalty(p, key) to be 0 for every key of d within p's bounds and above 0
-// for every other.
+// for every other, and, for every key, to depend only on the bound of p
+// nearer the key and not to fall as that bound moves away from it.
 func Check(t testing.TB, ops gist.Ops, d Domain, seed int64) {
 	t.Helper()
 	iv, ok := ops.(gist.Intervals)
@@ -95,9 +97,47 @@ func Check(t testing.TB, ops gist.Ops, d Domain, seed int64) {
 			}
 		}
 	}
+	checkPenaltyOrder(t, ops, iv, d, preds)
 	for _, p := range preds[:8] {
 		if n := testing.AllocsPerRun(10, func() { iv.Bounds(p) }); n != 0 {
 			t.Errorf("Bounds(%x) allocates %v times", p, n)
+		}
+	}
+}
+
+// checkPenaltyOrder checks the Intervals contract's clause on Penalty
+// outside the bounds: for each key of d, the predicates entirely below it
+// sorted by upper bound, from the nearest down, and those entirely above
+// it sorted by lower bound, from the nearest up, must have nondecreasing
+// penalties, equal for equal bounds.
+func checkPenaltyOrder(t testing.TB, ops gist.Ops, iv gist.Intervals, d Domain, preds [][]byte) {
+	t.Helper()
+	type scored struct {
+		pred, bound []byte
+		pen         float64
+	}
+	for i := 0; i < d.N; i++ {
+		key := d.Key(i)
+		k, _ := iv.Bounds(key)
+		var below, above []scored
+		for _, p := range preds {
+			lo, hi := iv.Bounds(p)
+			switch {
+			case bytes.Compare(hi, k) < 0:
+				below = append(below, scored{p, hi, ops.Penalty(p, key)})
+			case bytes.Compare(k, lo) < 0:
+				above = append(above, scored{p, lo, ops.Penalty(p, key)})
+			}
+		}
+		slices.SortStableFunc(below, func(a, b scored) int { return bytes.Compare(b.bound, a.bound) })
+		slices.SortStableFunc(above, func(a, b scored) int { return bytes.Compare(a.bound, b.bound) })
+		for _, side := range [][]scored{below, above} {
+			for j := 1; j < len(side); j++ {
+				near, far := side[j-1], side[j]
+				if far.pen < near.pen || bytes.Equal(far.bound, near.bound) && far.pen != near.pen {
+					t.Errorf("key %d: Penalty(%x) = %v with nearer bound %x, Penalty(%x) = %v with bound %x: penalty must depend only on the nearer bound and not fall as it moves away", i, near.pred, near.pen, near.bound, far.pred, far.pen, far.bound)
+				}
+			}
 		}
 	}
 }

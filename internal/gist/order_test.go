@@ -11,8 +11,10 @@ import (
 
 	"repro/internal/btree"
 	"repro/internal/buffer"
+	"repro/internal/latch"
 	"repro/internal/page"
 	"repro/internal/strtree"
+	"repro/internal/wal"
 )
 
 // splitIntervals is an Intervals extension total over arbitrary bytes: a
@@ -86,8 +88,25 @@ func checkOrderedWalk(t *testing.T, ops Ops, p *page.Page, queries [][]byte) {
 		}
 		hits := o.scratch().hits[:(min(p.NumSlots(), maxSlots)+63)/64]
 		clear(hits)
-		if !o.orderedMatches(p, ord, q, hits) {
+		end, ok := o.orderedMatches(p, ord, q, hits)
+		if !ok {
 			t.Fatalf("ordered walk gave up on a page its order was built from (query %x)", q)
+		}
+		// On a page of proper intervals (garbage may hold inverted ones) the
+		// walk ends past exactly the entries that start at or below q.
+		_, qhi := o.t.iv.Bounds(q)
+		below, proper := 0, true
+		for i := 0; i < p.NumSlots(); i++ {
+			if pred, ok := p.PredAt(i); ok {
+				lo, hi := o.t.iv.Bounds(pred)
+				proper = proper && bytes.Compare(lo, hi) <= 0
+				if bytes.Compare(lo, qhi) <= 0 {
+					below++
+				}
+			}
+		}
+		if proper && end != below {
+			t.Fatalf("query %x: ordered walk ended at %d, but %d entries start at or below the query's end", q, end, below)
 		}
 		if got := hitSlots(hits); !slices.Equal(got, want) {
 			t.Fatalf("query %x: ordered walk %v, reference %v", q, got, want)
@@ -239,7 +258,7 @@ func TestLearnOrder(t *testing.T) {
 	}
 	o.learnOrder(&v)
 	built := f.Order.Load()
-	if built.Slots == nil || built.Ver != 2 || built.ID != a.ID() {
+	if built.Slots == nil || built.Ver.Load() != 2 || built.ID != a.ID() {
 		t.Fatalf("second visit: want an order of page %d at version 2, got %+v", a.ID(), built)
 	}
 	o.learnOrder(&v)
@@ -597,5 +616,160 @@ func TestChooseSubtreeOrders(t *testing.T) {
 	got, ref := fb.Order.Load(), o.buildOrder(&vb)
 	if got.ID != b.ID() || !slices.Equal(got.Slots, ref.Slots) || !slices.Equal(got.MaxHi, ref.MaxHi) {
 		t.Fatalf("order built by b's descent: page %d, %v/%v; b's order %v/%v", got.ID, got.Slots, got.MaxHi, ref.Slots, ref.MaxHi)
+	}
+}
+
+// currentOrder returns f's order if it is current for the frame's page at
+// the latch's version, else nil.
+func currentOrder(f *buffer.Frame) *buffer.SlotOrder {
+	ver, _ := f.Latch.TryOptimistic()
+	if ord := f.Order.Load(); ord != nil && ord.ID == f.ID() && ord.Ver.Load() == ver {
+		return ord
+	}
+	return nil
+}
+
+// requireBuiltOrder fails t unless ord equals the order buildOrder makes
+// from f's page at the latch's version.
+func requireBuiltOrder(t *testing.T, o *op, f *buffer.Frame, ord *buffer.SlotOrder, what string) {
+	t.Helper()
+	ver, _ := f.Latch.TryOptimistic()
+	ref := o.buildOrder(&nodeView{f: f, p: &f.Page, id: f.ID(), ver: ver})
+	if !slices.Equal(ord.Slots, ref.Slots) || !slices.Equal(ord.MaxHi, ref.MaxHi) {
+		t.Fatalf("%s: carried order %v/%v, built %v/%v", what, ord.Slots, ord.MaxHi, ref.Slots, ref.MaxHi)
+	}
+}
+
+// liveSlots lists the slots of p whose predicates read.
+func liveSlots(p *page.Page) []int {
+	var out []int
+	for i := 0; i < p.NumSlots(); i++ {
+		if _, ok := p.PredAt(i); ok {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// TestCarryOrder: X holds of one to three records — mostly widenings of
+// an entry by a key, as the insert's phase 4 logs them, but also entries
+// set to any predicate (a shrink or a move) and entries added — on random
+// internal pages of the btree and strtree extensions, with the slot hint
+// given or not. After each hold the frame's order is either current and
+// equal to buildOrder's on the new image, Slots and MaxHi alike, or not
+// current at all. A hold that finds only a read stamp at its first
+// version carries the stamp to the release version.
+func TestCarryOrder(t *testing.T) {
+	for _, ext := range []struct {
+		name string
+		ops  Ops
+		draw func(*rand.Rand) (key, rng func() []byte)
+	}{
+		{"btree", btree.Ops{}, btreeDraw},
+		{"strtree", strtree.Ops{}, strtreeDraw},
+	} {
+		rng := rand.New(rand.NewSource(5))
+		key, rngPred := ext.draw(rng)
+		o := orderOp(ext.ops)
+		holds, carried := 0, 0
+		for i := 0; i < 60; i++ {
+			f := new(buffer.Frame)
+			if err := f.Page.CopyFrom(randomNode(rng, 1, rngPred).Bytes()); err != nil {
+				t.Fatal(err)
+			}
+			lsn := f.Page.LSN()
+			for j := 0; j < 30; j++ {
+				live := liveSlots(&f.Page)
+				if len(live) == 0 {
+					break
+				}
+				ver, _ := f.Latch.TryOptimistic()
+				stamped := rng.Intn(4) == 0
+				if stamped {
+					stamp := new(buffer.SlotOrder)
+					stamp.Seen.Store(ver)
+					f.Order.Store(stamp)
+				} else if currentOrder(f) == nil {
+					f.Order.Store(o.buildOrder(&nodeView{f: f, p: &f.Page, id: f.ID(), ver: ver}))
+				}
+				widened := false
+				f.Latch.Acquire(latch.X)
+				for r := rng.Intn(3); r >= 0; r-- {
+					s := live[rng.Intn(len(live))]
+					pred, ok := f.Page.PredAt(s)
+					if !ok {
+						continue // an earlier record of this hold made it unreadable
+					}
+					lsn++
+					rec := &wal.Record{LSN: lsn, Type: wal.RecParentEntryUpdate, Pg: f.ID(), Pg2: f.Page.ChildAt(s)}
+					switch rng.Intn(8) {
+					case 0:
+						rec.Type, rec.Body = wal.RecInternalEntryAdd, (&page.Entry{Pred: rngPred(), Child: page.PageID(1000 + j)}).Encode(false)
+					case 1:
+						rec.Body = rngPred()
+					default:
+						rec.Body = ext.ops.Union(pred, key())
+					}
+					hint := -1
+					if rng.Intn(2) == 0 {
+						hint = s
+					}
+					widened = widened || rec.Type == wal.RecParentEntryUpdate
+					_ = o.t.carryOrder(rec, f, hint) // a full page refuses a growing entry
+				}
+				f.Latch.Release(latch.X)
+				holds++
+				ver, _ = f.Latch.TryOptimistic()
+				if ord := currentOrder(f); ord != nil {
+					carried++
+					requireBuiltOrder(t, o, f, ord, fmt.Sprintf("%s page %d hold %d", ext.name, i, j))
+				}
+				if stamped && widened && f.Order.Load().Seen.Load() != ver {
+					t.Fatalf("%s page %d hold %d: read stamp %d after a widening, want the release version %d", ext.name, i, j, f.Order.Load().Seen.Load(), ver)
+				}
+			}
+		}
+		t.Logf("%s: %d of %d holds carried the order", ext.name, carried, holds)
+		if carried < holds/8 {
+			t.Errorf("%s: only %d of %d holds carried the order", ext.name, carried, holds)
+		}
+	}
+}
+
+// TestCarryOrderAppends: widenings of the last of a node's disjoint
+// entries by ever larger keys, and of middle entries by keys in the gap
+// above them, are carried every time, by re-stamping the same order.
+func TestCarryOrderAppends(t *testing.T) {
+	f := new(buffer.Frame)
+	f.Page.Init(f.ID(), 1)
+	for i := int64(0); i < 100; i++ {
+		if _, err := f.Page.InsertEntry(page.Entry{Pred: btree.EncodeRange(10*i, 10*i+5), Child: page.PageID(100 + i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	o := orderOp(btree.Ops{})
+	ord := o.buildOrder(&nodeView{f: f, p: &f.Page, id: f.ID(), ver: 0})
+	f.Order.Store(ord)
+	widen := func(slot int, k int64) {
+		t.Helper()
+		pred, _ := f.Page.PredAt(slot)
+		rec := &wal.Record{LSN: f.Page.LSN() + 1, Type: wal.RecParentEntryUpdate, Pg: f.ID(), Pg2: f.Page.ChildAt(slot), Body: btree.Ops{}.Union(pred, btree.EncodeKey(k))}
+		f.Latch.Acquire(latch.X)
+		err := o.t.carryOrder(rec, f, slot)
+		f.Latch.Release(latch.X)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cur := currentOrder(f); cur != ord {
+			t.Fatalf("widening slot %d by %d: order %p (current %v), want %p re-stamped", slot, k, f.Order.Load(), cur != nil, ord)
+		}
+		requireBuiltOrder(t, o, f, ord, fmt.Sprintf("widening slot %d by %d", slot, k))
+	}
+	for k := int64(1000); k < 1050; k++ {
+		widen(99, k)
+	}
+	for i := int64(0); i < 99; i += 7 {
+		widen(int(i), 10*i+7)
+		widen(int(i), 10*i+8)
 	}
 }

@@ -247,3 +247,72 @@ func TestOptimisticOrderedEvictionChurn(t *testing.T) {
 	}
 	e.checkTree()
 }
+
+// countedChoice is countedBounds that also counts Penalty calls, which
+// the insert descent makes where its choice has no entry containing the
+// key, or no current order at all.
+type countedChoice struct {
+	countedBounds
+	penalties *atomic.Int64
+}
+
+func (o countedChoice) Penalty(bp, key []byte) float64 {
+	o.penalties.Add(1)
+	return o.Ops.Penalty(bp, key)
+}
+
+// TestOptimisticOrderedAppends: two writers append ascending keys, and
+// delete some, while readers point-search and scan behind them. Every
+// append lies past every entry, so it widens the rightmost entry of each
+// node on its path and carries that node's slot order to the version its
+// release produces. An order carried for an image it does not describe
+// would show as a wrong answer; and the appends must have found their
+// subtrees through the carried orders, not by walking every entry.
+func TestOptimisticOrderedAppends(t *testing.T) {
+	var bounds, penalties atomic.Int64
+	e := newEnv(t, gist.Config{Ops: countedChoice{countedBounds{btree.Ops{}, &bounds}, &penalties}, MaxEntries: 32})
+	const n = 2400
+	m := newKeyModel(n)
+	for k := int64(0); k < 200; k++ {
+		e.put(k)
+		m.state[k].Store(keyLive)
+	}
+	penalties.Store(0)
+	var writers, readers sync.WaitGroup
+	var stop atomic.Bool
+	for w := int64(0); w < 2; w++ {
+		var ks []int64
+		for k := 200 + w; k < n; k += 2 {
+			ks = append(ks, k)
+		}
+		writers.Add(1)
+		go func() {
+			defer writers.Done()
+			m.churn(t, e, ks)
+		}()
+	}
+	for r := 0; r < 3; r++ {
+		readers.Add(1)
+		go func(r int) {
+			defer readers.Done()
+			rng := rand.New(rand.NewSource(int64(r)))
+			for i := 0; !stop.Load(); i++ {
+				lo := rng.Int63n(n)
+				hi := lo
+				if i%8 == 0 {
+					hi = min(lo+rng.Int63n(100), n-1)
+				}
+				m.search(t, e, lo, hi)
+			}
+		}(r)
+	}
+	writers.Wait()
+	stop.Store(true)
+	readers.Wait()
+	e.checkTree()
+	perAppend := float64(penalties.Load()) / (n - 200)
+	t.Logf("%.1f Penalty calls per append", perAppend)
+	if perAppend > 11 {
+		t.Errorf("%.1f Penalty calls per append, want at most 11 (walking every entry of each node on the path costs about 16)", perAppend)
+	}
+}

@@ -61,6 +61,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/bits"
 	"runtime"
 	"slices"
@@ -209,8 +210,8 @@ func (o *op) matches(v *nodeView, query []byte) []uint64 {
 		return hits
 	}
 	ord := v.f.Order.Load()
-	if ord != nil && ord.ID == v.id && ord.Ver == v.ver {
-		if o.orderedMatches(p, ord, query, hits) {
+	if ord != nil && ord.ID == v.id && ord.Ver.Load() == v.ver {
+		if _, ok := o.orderedMatches(p, ord, query, hits); ok {
 			return hits
 		}
 		clear(hits)
@@ -235,11 +236,13 @@ func (o *op) matches(v *nodeView, query []byte) []uint64 {
 	return hits
 }
 
-// orderedMatches is matches' search over a current order. It reports
+// orderedMatches is matches' search over a current order. It returns
+// end, the number of entries whose lower bound is at or below the query's
+// upper bound: the walk stops at the first position past them. It reports
 // false, leaving hits partly set, if a slot of the order is not live on
 // p — impossible for an image of the order's version, and answered by the
 // slot-by-slot walk all the same.
-func (o *op) orderedMatches(p *page.Page, ord *buffer.SlotOrder, query []byte, hits []uint64) bool {
+func (o *op) orderedMatches(p *page.Page, ord *buffer.SlotOrder, query []byte, hits []uint64) (end int, ok bool) {
 	iv := o.t.iv
 	qlo, qhi := iv.Bounds(query)
 	lo, hi := 0, len(ord.MaxHi)
@@ -247,7 +250,7 @@ func (o *op) orderedMatches(p *page.Page, ord *buffer.SlotOrder, query []byte, h
 		m := int(uint(lo+hi) >> 1)
 		pred, ok := p.PredAt(int(ord.MaxHi[m]))
 		if !ok {
-			return false
+			return 0, false
 		}
 		if _, top := iv.Bounds(pred); bytes.Compare(top, qlo) < 0 {
 			lo = m + 1
@@ -255,10 +258,11 @@ func (o *op) orderedMatches(p *page.Page, ord *buffer.SlotOrder, query []byte, h
 			hi = m
 		}
 	}
-	for _, s := range ord.Slots[lo:] {
+	for end = lo; end < len(ord.Slots); end++ {
+		s := ord.Slots[end]
 		pred, ok := p.PredAt(int(s))
 		if !ok {
-			return false
+			return 0, false
 		}
 		plo, phi := iv.Bounds(pred)
 		if bytes.Compare(plo, qhi) > 0 {
@@ -268,7 +272,7 @@ func (o *op) orderedMatches(p *page.Page, ord *buffer.SlotOrder, query []byte, h
 			hits[s>>6] |= 1 << (s & 63)
 		}
 	}
-	return true
+	return end, true
 }
 
 // learnOrder runs when a visit that called matches, or the insert
@@ -290,7 +294,7 @@ func (o *op) learnOrder(v *nodeView) {
 		stamp := new(buffer.SlotOrder) // once per frame: later stamps reuse it
 		stamp.Seen.Store(v.ver)
 		v.f.Order.CompareAndSwap(nil, stamp)
-	case ord.ID == v.id && ord.Ver == v.ver:
+	case ord.ID == v.id && ord.Ver.Load() == v.ver:
 		// Current.
 	case ord.Seen.CompareAndSwap(v.ver, v.ver|1):
 		v.f.Order.Store(o.buildOrder(v))
@@ -370,7 +374,8 @@ func (o *op) buildOrder(v *nodeView) *buffer.SlotOrder {
 		slots[i], maxHi[i] = r.slot, topSlot
 		points = points && topSlot == r.slot
 	}
-	ord := &buffer.SlotOrder{ID: v.id, Ver: v.ver}
+	ord := &buffer.SlotOrder{ID: v.id, LSN: p.LSN()}
+	ord.Ver.Store(v.ver)
 	if points {
 		ord.Slots = slices.Clone(slots)
 		ord.MaxHi = ord.Slots
@@ -648,25 +653,101 @@ func (o *op) descend(f *buffer.Frame, pg page.PageID, curNSN page.LSN, key []byt
 // with the key as the query: by the Intervals contract the penalty-0
 // entries are exactly the ones whose bounds contain the key, so the
 // lowest slot the ordered walk reports is the first of them. When no
-// entry contains the key the descent is about to widen one, and it walks
-// every slot.
+// entry contains the key, nearestSlot finds the nearest ones by binary
+// search. Without a current order it walks every slot.
 func (o *op) chooseSubtree(v *nodeView, key []byte) (slot int, zero bool) {
 	sc := o.scratch()
 	sc.kept = false // this visit keeps no bounds for learnOrder
 	if iv := o.t.iv; iv != nil {
 		ord := v.f.Order.Load()
-		if lo, hi := iv.Bounds(key); ord != nil && ord.ID == v.id && ord.Ver == v.ver && bytes.Equal(lo, hi) {
+		if lo, hi := iv.Bounds(key); ord != nil && ord.ID == v.id && ord.Ver.Load() == v.ver && bytes.Equal(lo, hi) {
 			hits := sc.hits[:(min(v.p.NumSlots(), maxSlots)+63)/64]
 			clear(hits)
-			if o.orderedMatches(v.p, ord, key, hits) {
+			if end, ok := o.orderedMatches(v.p, ord, key, hits); ok {
 				for w, word := range hits {
 					if word != 0 {
 						return w<<6 | bits.TrailingZeros64(word), true
 					}
+				}
+				if slot, ok := o.nearestSlot(v.p, ord, key, end); ok {
+					return slot, false
 				}
 			}
 		}
 	}
 	slot, pen := o.t.minPenaltySlot(v.p, key)
 	return slot, pen == 0
+}
+
+// nearestSlot is chooseSubtree's answer for a point key that no entry of
+// the current order ord contains: minPenaltySlot's slot, found by binary
+// search. The first i entries of the order have their lower bound at or
+// below the key, so they all end below it; the rest start above it. By
+// the Intervals contract the penalty of an entry that does not contain
+// the key depends only on its bound nearer the key and does not fall as
+// that bound moves away. So the minimal penalty p belongs to the greatest
+// upper bound below the key (the running maximum MaxHi[i-1]) or to the
+// least lower bound above it (Slots[i]). Above the key, the entries at p
+// are a run from position i on. Below it, every entry before the first
+// position whose running maximum costs p costs more, so that position,
+// found by galloping back from i, starts the last stretch to check. Ties
+// go to the lowest slot. It reports false when a slot of the order is not
+// live on p or no penalty is finite, leaving the answer to the walk.
+func (o *op) nearestSlot(p *page.Page, ord *buffer.SlotOrder, key []byte, i int) (slot int, ok bool) {
+	ops := o.t.ops
+	pen := func(s uint16) float64 {
+		pred, live := p.PredAt(int(s))
+		if !live {
+			ok = false
+			return math.NaN()
+		}
+		return ops.Penalty(pred, key)
+	}
+	ok = true
+	n := len(ord.Slots)
+	below, above := math.Inf(1), math.Inf(1)
+	if i > 0 {
+		below = pen(ord.MaxHi[i-1])
+	}
+	if i < n {
+		above = pen(ord.Slots[i])
+	}
+	best := min(below, above)
+	if !ok || !(best < math.Inf(1)) {
+		return 0, false
+	}
+	slot = maxSlots
+	if above == best {
+		for j := i; j < n; j++ {
+			if j > i && pen(ord.Slots[j]) != best {
+				break
+			}
+			slot = min(slot, int(ord.Slots[j]))
+		}
+	}
+	if below == best {
+		// pen(MaxHi[j]) does not grow with j; find the first j < i at best.
+		first, last := 0, i-1 // pen(MaxHi[last]) == best
+		for step := 1; last-step >= 0; step *= 2 {
+			if pen(ord.MaxHi[last-step]) != best {
+				first = last - step + 1
+				break
+			}
+			last -= step
+		}
+		for first < last {
+			m := int(uint(first+last) >> 1)
+			if pen(ord.MaxHi[m]) == best {
+				last = m
+			} else {
+				first = m + 1
+			}
+		}
+		for j := first; j < i; j++ {
+			if s := ord.Slots[j]; int(s) < slot && pen(s) == best {
+				slot = int(s)
+			}
+		}
+	}
+	return slot, ok
 }

@@ -18,6 +18,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -131,8 +132,10 @@ func (Ops) Union(a, b []byte) []byte {
 }
 
 // Penalty orders insertion targets: zero when the key is inside the
-// interval; otherwise the byte distance at the first divergence from the
-// nearer bound, scaled so earlier divergence costs more.
+// interval; otherwise the distance from the key to the nearer bound, as
+// divergenceCost measures it. It depends on that bound alone and does not
+// fall as the bound moves away from the key, which the gist.Intervals
+// contract asks of it.
 func (Ops) Penalty(bp, key []byte) float64 {
 	lo, hi := asRange(bp)
 	k, _ := asRange(key)
@@ -146,23 +149,30 @@ func (Ops) Penalty(bp, key []byte) float64 {
 	}
 }
 
-// divergenceCost scores how far apart two ordered byte strings are: the
-// difference at the first differing byte, weighted by its position.
+// maxShared caps the shared prefix divergenceCost weighs, so its scale
+// 2^(-9·shared) stays a normal float64.
+const maxShared = 100
+
+// divergenceCost scores how far apart two byte strings a < b are: the
+// difference at their first differing byte (the end of a counting as one
+// below every byte), scaled by 2^-9 per shared leading byte. A difference
+// is at most 256, so a pair that diverges a byte earlier always costs
+// more, and moving a away from b — down in byte order — never lowers the
+// cost, nor does moving b up. Past maxShared shared bytes every pair costs
+// the same.
 func divergenceCost(a, b []byte) float64 {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
+	i := 0
+	for i < len(a) && i < len(b) && a[i] == b[i] {
+		i++
 	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			d := float64(b[i]) - float64(a[i])
-			if d < 0 {
-				d = -d
-			}
-			return d / float64(i+1)
-		}
+	if i >= maxShared || i == len(b) {
+		return math.Ldexp(1, -9*maxShared)
 	}
-	return float64(len(b)-len(a)) / float64(n+1)
+	da := -1
+	if i < len(a) {
+		da = int(a[i])
+	}
+	return math.Ldexp(float64(int(b[i])-da), -9*i)
 }
 
 // PickSplit sorts by lower bound and keeps the lower half.

@@ -142,7 +142,8 @@ func countedKeys(t *testing.T, n int) (*gistdb.DB, *gistdb.Index, *atomic.Int64)
 // second visit at a node's version builds the order, and from then on an
 // insert whose key a node's entry contains reads a few predicates there.
 // Inserting a key again (the index is not unique) leaves every node above
-// the leaf unchanged, so the third insert of a key is warm.
+// the leaf unchanged, so the third insert of a key is warm. An append, a
+// key that no entry contains, reads a few predicates per node as well.
 func TestInsertDescentReadsFewPredicates(t *testing.T) {
 	db, idx, reads := countedKeys(t, 100_000)
 	defer db.Close()
@@ -163,6 +164,17 @@ func TestInsertDescentReadsFewPredicates(t *testing.T) {
 		t.Logf("insert %d: %d predicates on the first insert, %d on the third", k, first, warm)
 		if warm > 40 {
 			t.Errorf("insert %d: warm descent read %d predicates, want at most 40 (first: %d)", k, warm, first)
+		}
+	}
+	// Appends: each key lies past every entry, so the descent widens the
+	// rightmost entry of each node on its path, which moves those nodes'
+	// latch versions. Each node carries its order across the widening, and
+	// the next append finds the nearest entry by binary search.
+	for k := int64(100_000); k <= 100_005; k++ {
+		n := insert(k)
+		t.Logf("append %d: %d predicates", k, n)
+		if n > 40 {
+			t.Errorf("append %d: read %d predicates, want at most 40", k, n)
 		}
 	}
 }
